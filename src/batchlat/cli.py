@@ -42,12 +42,15 @@ from .model import (
     _require_seed,
 )
 from .policies import (
+    Plan,
     PolicyKind,
     PolicySpec,
     balanced_assignment,
     cyclic_layout,
     replicated_nonoverlap_layout,
+    resolve,
     shared_pair_layout,
+    validate_policy,
 )
 from .sim import SimConfig, coverage_empirical, derive_seed, monte_carlo
 
@@ -79,10 +82,6 @@ DEFAULT_RATES: tuple[float, ...] = tuple(float(r) for r in np.logspace(-1.0, 1.0
 
 _MIN_SAMPLES_FOR_CI = 1000
 
-_SWEEPABLE_KINDS = frozenset(
-    {PolicyKind.BALANCED, PolicyKind.CYCLIC, PolicyKind.RANDOM_CC, PolicyKind.GROUPED_OVERLAP}
-)
-
 _SWEEP_COLUMNS = ("policy", "N", "B", "rate", "mean", "ci_low", "ci_high", "exact", "n_samples", "seed")
 
 
@@ -91,40 +90,15 @@ def _fmt(x: float) -> str:
     return format(float(x), ".9g")
 
 
-def _system_for(kind: PolicyKind, n_workers: int, n_batches: int, rate: float) -> SystemParams:
-    """SystemParams for a policy kind, picking the canonical block count.
-
-    Overlapping and structure policies use S = N. Non-overlapping timing
-    does not depend on the block count, so S defaults to N when divisible
-    and to B (one block per batch) otherwise.
-    """
-    if kind in (PolicyKind.CYCLIC, PolicyKind.GROUPED_OVERLAP, PolicyKind.EXPLICIT_STRUCTURE):
-        n_blocks = n_workers
-    else:
-        n_blocks = n_workers if n_workers % n_batches == 0 else n_batches
-    return SystemParams(n_workers, n_blocks, n_batches, rate)
-
-
-def _exact_expected_time(spec: PolicySpec, params: SystemParams, rate: float) -> float | None:
-    """Exact expected completion time for the policy, or None when no exact
-    method applies (random-cc, or instances beyond the complexity guards)."""
+def _exact_or_none(plan: Plan, rate: float) -> float | None:
+    """The plan's exact expected time, or None when no exact method applies
+    (random-cc, or instances beyond the complexity guards)."""
+    if plan.exact is None:
+        return None
     try:
-        if spec.kind is PolicyKind.BALANCED:
-            return analytics.expected_time_balanced(params.n_workers, params.n_batches, rate)
-        if spec.kind is PolicyKind.EXPLICIT_VECTOR:
-            assert spec.vector is not None
-            return analytics.expected_time_assignment(spec.vector, rate)
-        if spec.kind is PolicyKind.CYCLIC:
-            return analytics.expected_time_cyclic(params.n_workers, params.n_batches, rate)
-        if spec.kind is PolicyKind.GROUPED_OVERLAP:
-            groups = shared_pair_layout()[1]
-            return analytics.exact_expected_time_structure(groups, params.n_workers, rate)
-        if spec.kind is PolicyKind.EXPLICIT_STRUCTURE:
-            assert spec.groups is not None
-            return analytics.exact_expected_time_structure(spec.groups, params.n_workers, rate)
+        return plan.exact(rate)
     except ComplexityGuardError:
         return None
-    return None
 
 
 @dataclass(frozen=True)
@@ -158,14 +132,8 @@ class SweepSpec:
             raise DomainError("policies must be non-empty")
         kinds = []
         for name in policy_names:
-            try:
-                kind = PolicyKind(name)
-            except ValueError:
-                raise DomainError(
-                    f"unknown policy kind {name!r}; expected one of "
-                    f"{sorted(k.value for k in PolicyKind)}"
-                ) from None
-            if kind not in _SWEEPABLE_KINDS:
+            kind = PolicyKind(name)
+            if kind.carries_payload:
                 raise DomainError(
                     f"policy kind {kind.value!r} carries a payload and cannot be swept"
                 )
@@ -178,11 +146,9 @@ class SweepSpec:
         if self.format not in ("csv", "json"):
             raise DomainError(f"format must be 'csv' or 'json', got {self.format!r}")
         # Every (policy, B) pair must satisfy its divisibility requirements.
-        from .policies import validate_policy
-
         for kind in kinds:
             for b in b_values:
-                validate_policy(PolicySpec(kind), _system_for(kind, self.n_workers, b, 1.0))
+                validate_policy(PolicySpec(kind), kind.system(self.n_workers, b))
 
     def to_dict(self) -> dict:
         return {
@@ -238,9 +204,8 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
 
     def evaluate(index: int) -> dict:
         policy_name, b, rate = points[index]
-        kind = PolicyKind(policy_name)
-        policy = PolicySpec(kind)
-        system = _system_for(kind, spec.n_workers, b, rate)
+        policy = PolicySpec(PolicyKind(policy_name))
+        system = policy.kind.system(spec.n_workers, b, rate)
         point_seed = derive_seed(spec.seed, index)
         estimate = monte_carlo(
             SimConfig(
@@ -259,7 +224,7 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
             "mean": estimate.mean,
             "ci_low": estimate.ci95_low,
             "ci_high": estimate.ci95_high,
-            "exact": _exact_expected_time(policy, system, rate),
+            "exact": _exact_or_none(resolve(policy, system), rate),
             "n_samples": spec.n_samples,
             "seed": point_seed,
         }
@@ -270,49 +235,31 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(evaluate, range(len(points))))
-    _write_rows(rows, spec.output_path, spec.format)
+    _write_table(spec.output_path, spec.format, _SWEEP_COLUMNS, rows)
     return rows
 
 
-def _write_rows(rows: list[dict], path: str, fmt: str) -> None:
-    if fmt == "csv":
-        with open(path, "w", newline="") as fh:
+def _write_table(path: str, fmt: str, columns: Sequence[str], rows: list[dict]) -> None:
+    """Write the given columns of each row as CSV or as a JSON list of objects.
+
+    Floats go through _fmt (JSON reads the digits back, so both formats carry
+    the same values); None is an empty CSV cell or a JSON null; other values,
+    such as ints, are written as they are.
+    """
+
+    def cell(value: object) -> object:
+        if not isinstance(value, float):
+            return value
+        return _fmt(value) if fmt == "csv" else float(_fmt(value))
+
+    table = [[cell(row[c]) for c in columns] for row in rows]
+    with open(path, "w", newline="") as fh:
+        if fmt == "csv":
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(_SWEEP_COLUMNS)
-            for r in rows:
-                writer.writerow(
-                    [
-                        r["policy"],
-                        r["N"],
-                        r["B"],
-                        _fmt(r["rate"]),
-                        _fmt(r["mean"]),
-                        _fmt(r["ci_low"]),
-                        _fmt(r["ci_high"]),
-                        "" if r["exact"] is None else _fmt(r["exact"]),
-                        r["n_samples"],
-                        r["seed"],
-                    ]
-                )
-    else:
-        payload = []
-        for r in rows:
-            payload.append(
-                {
-                    "policy": r["policy"],
-                    "N": r["N"],
-                    "B": r["B"],
-                    "rate": float(_fmt(r["rate"])),
-                    "mean": float(_fmt(r["mean"])),
-                    "ci_low": float(_fmt(r["ci_low"])),
-                    "ci_high": float(_fmt(r["ci_high"])),
-                    "exact": None if r["exact"] is None else float(_fmt(r["exact"])),
-                    "n_samples": r["n_samples"],
-                    "seed": r["seed"],
-                }
-            )
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2)
+            writer.writerow(columns)
+            writer.writerows(table)
+        else:
+            json.dump([dict(zip(columns, values)) for values in table], fh, indent=2)
             fh.write("\n")
 
 
@@ -413,19 +360,17 @@ def _infer_shape(spec: PolicySpec, args: argparse.Namespace) -> tuple[int, int]:
     """(n_workers, n_batches) for the command, from the payload or the flags."""
     n = args.n_workers
     b = args.n_batches
-    if spec.kind is PolicyKind.EXPLICIT_VECTOR:
-        assert spec.vector is not None
+    if spec.vector is not None:
         vec_n, vec_b = sum(spec.vector), len(spec.vector)
         if n is not None and n != vec_n:
             raise DomainError(f"--n-workers {n} contradicts the vector total {vec_n}")
         if b is not None and b != vec_b:
             raise DomainError(f"--n-batches {b} contradicts the vector length {vec_b}")
         return vec_n, vec_b
-    if spec.kind is PolicyKind.GROUPED_OVERLAP:
-        n = 6 if n is None else n
-        b = 3 if b is None else b
-        return n, b
-    if spec.kind is PolicyKind.EXPLICIT_STRUCTURE:
+    if spec.kind.fixed_shape is not None:
+        fixed_n, fixed_b = spec.kind.fixed_shape
+        return (fixed_n if n is None else n), (fixed_b if b is None else b)
+    if spec.groups is not None:
         if n is None:
             raise DomainError("--n-workers is required for explicit-structure")
         # The batch count is not derivable from the groups alone; it only
@@ -456,79 +401,27 @@ def cmd_coverage(args: argparse.Namespace) -> int:
                 )
             rows.append(row)
             index += 1
-    header = f"{'B':>4} {'N':>4}"
-    if want_exact:
-        header += f" {'exact':>14}"
-    if want_empirical:
-        header += f" {'empirical':>14}"
-    print(header)
+    values = [c for c, wanted in (("exact", want_exact), ("empirical", want_empirical)) if wanted]
+    print(f"{'B':>4} {'N':>4}" + "".join(f" {c:>14}" for c in values))
     for row in rows:
-        line = f"{row['B']:>4} {row['N']:>4}"
-        if want_exact:
-            line += f" {_fmt(row['exact']):>14}"
-        if want_empirical:
-            line += f" {_fmt(row['empirical']):>14}"
-        print(line)
+        print(f"{row['B']:>4} {row['N']:>4}" + "".join(f" {_fmt(row[c]):>14}" for c in values))
     if args.out:
-        _write_coverage_file(rows, args.out, args.format, want_exact, want_empirical)
+        _write_table(args.out, args.format, ["B", "N", *values], rows)
         print(f"wrote {len(rows)} rows to {args.out}")
     return EXIT_OK
 
 
-def _write_coverage_file(
-    rows: list[dict], path: str, fmt: str, want_exact: bool, want_empirical: bool
-) -> None:
-    columns = ["B", "N"]
-    if want_exact:
-        columns.append("exact")
-    if want_empirical:
-        columns.append("empirical")
-    if fmt == "csv":
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(columns)
-            for row in rows:
-                out = [row["B"], row["N"]]
-                if want_exact:
-                    out.append(_fmt(row["exact"]))
-                if want_empirical:
-                    out.append(_fmt(row["empirical"]))
-                writer.writerow(out)
-    else:
-        payload = []
-        for row in rows:
-            entry: dict = {"B": row["B"], "N": row["N"]}
-            if want_exact:
-                entry["exact"] = float(_fmt(row["exact"]))
-            if want_empirical:
-                entry["empirical"] = float(_fmt(row["empirical"]))
-            payload.append(entry)
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
     spec = _policy_from_args(args)
-    if spec.kind is PolicyKind.RANDOM_CC:
+    n, b = _infer_shape(spec, args)
+    rate = args.rate
+    plan = resolve(spec, spec.kind.system(n, b, rate))
+    if plan.exact is None:
         raise DomainError(
             "random-cc re-draws the assignment per trial and has no exact expected "
             "time; use `batchlat simulate --policy random-cc` instead"
         )
-    n, b = _infer_shape(spec, args)
-    rate = args.rate
-    if spec.kind is PolicyKind.BALANCED:
-        exact = analytics.expected_time_balanced(n, b, rate)
-    elif spec.kind is PolicyKind.EXPLICIT_VECTOR:
-        assert spec.vector is not None
-        exact = analytics.expected_time_assignment(spec.vector, rate)
-    elif spec.kind is PolicyKind.CYCLIC:
-        exact = analytics.expected_time_cyclic(n, b, rate)
-    elif spec.kind is PolicyKind.GROUPED_OVERLAP:
-        exact = analytics.exact_expected_time_structure(shared_pair_layout()[1], n, rate)
-    else:
-        assert spec.groups is not None
-        exact = analytics.exact_expected_time_structure(spec.groups, n, rate)
+    exact = plan.exact(rate)
 
     lines = [("policy", spec.kind.value)]
     if spec.vector is not None:
@@ -538,7 +431,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             ("groups", "; ".join("{" + ", ".join(map(str, sorted(g))) + "}" for g in spec.groups))
         )
     lines.append(("n_workers", str(n)))
-    show_bound = not (spec.kind is PolicyKind.EXPLICIT_STRUCTURE and args.n_batches is None)
+    # Structure groups do not determine B; without -B there is no bound to show.
+    show_bound = spec.groups is None or args.n_batches is not None
     if show_bound:
         lines.append(("n_batches", str(b)))
     lines.append(("rate", _fmt(rate)))
@@ -546,16 +440,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if show_bound:
         # Reference value of the balanced assignment on the same shape; it
         # is attainable only when B divides N.
-        bound = float(
-            analytics.harmonic(b) * b / n
-        ) / rate
+        bound = float(analytics.harmonic(b) * b / n) / rate
         lines.append(("balanced_bound", _fmt(bound)))
         lines.append(("ratio_to_bound", _fmt(exact / bound)))
-    if spec.kind in (PolicyKind.BALANCED, PolicyKind.EXPLICIT_VECTOR) and n % b == 0:
-        counts = (
-            balanced_assignment(n, b).counts if spec.kind is PolicyKind.BALANCED else spec.vector
-        )
-        assert counts is not None
+    if plan.counts is not None and n % b == 0:
+        counts = plan.counts
         balanced = balanced_assignment(n, b).counts
         lines.append(("is_balanced", "yes" if analytics.is_balanced_minimal(counts) else "no"))
         lines.append(
@@ -578,12 +467,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             f"--samples must be at least {_MIN_SAMPLES_FOR_CI} when confidence "
             "intervals are reported"
         )
-    system = _system_for(spec.kind, n, b, args.rate)
+    system = spec.kind.system(n, b, args.rate)
     cfg = SimConfig(
         n_samples=args.samples, seed=args.seed, rate=args.rate, policy=spec, system=system
     )
     estimate = monte_carlo(cfg)
-    exact = _exact_expected_time(spec, system, args.rate)
+    exact = _exact_or_none(resolve(spec, system), args.rate)
     lines = [
         ("policy", spec.kind.value),
         ("n_workers", str(n)),
@@ -615,9 +504,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 raise DomainError(f"invalid JSON in {args.config}: {exc}") from None
         if not isinstance(loaded, dict):
             raise DomainError(f"config {args.config} must hold a JSON object")
-        unknown = sorted(set(loaded) - set(merged))
-        if unknown:
-            raise DomainError(f"unknown sweep config keys: {', '.join(unknown)}")
         merged.update(loaded)
     overrides = {
         "n_workers": args.n_workers,
@@ -645,15 +531,16 @@ def cmd_compare_policies(args: argparse.Namespace) -> int:
             f"--samples must be at least {_MIN_SAMPLES_FOR_CI} when confidence "
             "intervals are reported"
         )
+    system = SystemParams(6, 6, 3, args.rate)
     entries = [
-        ("cyclic", cyclic_layout(6, 3)[1].groups),
-        ("grouped-overlap", shared_pair_layout()[1].groups),
-        ("replicated", replicated_nonoverlap_layout(6, 3)[1].groups),
+        (label, PolicySpec(PolicyKind.EXPLICIT_STRUCTURE, groups=layout[1].groups))
+        for label, layout in (
+            ("cyclic", cyclic_layout(6, 3)),
+            ("grouped-overlap", shared_pair_layout()),
+            ("replicated", replicated_nonoverlap_layout(6, 3)),
+        )
     ]
-    exacts = {
-        label: analytics.exact_expected_time_structure(groups, 6, args.rate)
-        for label, groups in entries
-    }
+    exacts = {label: resolve(spec, system).exact(args.rate) for label, spec in entries}
     if not exacts["replicated"] < exacts["grouped-overlap"] < exacts["cyclic"]:
         raise RuntimeError(
             "internal invariant violated: expected replicated < grouped-overlap < cyclic"
@@ -662,13 +549,12 @@ def cmd_compare_policies(args: argparse.Namespace) -> int:
         f"{'policy':<16} {'exact':>12} {'mc_mean':>12} {'ci95_low':>12} "
         f"{'ci95_high':>12} {'within_ci':>9}"
     )
-    for index, (label, groups) in enumerate(entries):
-        system = SystemParams(6, 6, 3, args.rate)
+    for index, (label, spec) in enumerate(entries):
         cfg = SimConfig(
             n_samples=args.samples,
             seed=derive_seed(args.seed, index),
             rate=args.rate,
-            policy=PolicySpec(PolicyKind.EXPLICIT_STRUCTURE, groups=groups),
+            policy=spec,
             system=system,
         )
         estimate = monte_carlo(cfg)

@@ -6,16 +6,22 @@ described by an AssignmentVector of per-batch replica counts. Overlapping
 batching gives each worker a window of blocks that may intersect other
 workers' windows; completion is then governed by a RecoveryStructure of
 worker groups whose batches partition the block set.
+
+``resolve`` is where a kind's meaning lives: the sampler and the CLI take a
+policy's replica counts, recovery groups and exact closed form from the Plan
+it returns.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
+from . import analytics
 from .model import (
     AssignmentVector,
     BatchingKind,
@@ -32,6 +38,7 @@ from .model import (
 __all__ = [
     "PolicyKind",
     "PolicySpec",
+    "Plan",
     "MAX_REPLICATED_GROUPS",
     "balanced_assignment",
     "random_cc_assignment",
@@ -39,8 +46,7 @@ __all__ = [
     "shared_pair_layout",
     "replicated_nonoverlap_layout",
     "validate_policy",
-    "resolve_counts",
-    "resolve_groups",
+    "resolve",
 ]
 
 #: Refuse to materialize replicated-layout recovery structures beyond this
@@ -58,14 +64,35 @@ class PolicyKind(str, Enum):
     GROUPED_OVERLAP = "grouped-overlap"
     EXPLICIT_STRUCTURE = "explicit-structure"
 
+    @classmethod
+    def _missing_(cls, value: object):
+        # PolicyKind(name) reports an unknown name as a DomainError.
+        raise DomainError(
+            f"unknown policy kind {value!r}; expected one of {sorted(k.value for k in cls)}"
+        )
 
-#: Kinds whose completion semantics are a max over batches of replica minima.
-VECTOR_KINDS = frozenset({PolicyKind.BALANCED, PolicyKind.EXPLICIT_VECTOR, PolicyKind.RANDOM_CC})
+    @property
+    def carries_payload(self) -> bool:
+        """Whether a PolicySpec of this kind needs a vector or groups; such a
+        kind cannot be swept, since a sweep grid has no payload to give it."""
+        return self in (PolicyKind.EXPLICIT_VECTOR, PolicyKind.EXPLICIT_STRUCTURE)
 
-#: Kinds whose completion semantics are a min over recovery groups.
-GROUP_KINDS = frozenset(
-    {PolicyKind.CYCLIC, PolicyKind.GROUPED_OVERLAP, PolicyKind.EXPLICIT_STRUCTURE}
-)
+    @property
+    def fixed_shape(self) -> tuple[int, int] | None:
+        """(N, B) of a kind that exists at one shape only."""
+        return (6, 3) if self is PolicyKind.GROUPED_OVERLAP else None
+
+    def system(self, n_workers: int, n_batches: int, rate: float = 1.0) -> SystemParams:
+        """SystemParams for this kind, picking the canonical block count.
+
+        Overlapping and structure policies use S = N. Non-overlapping timing
+        does not depend on the block count, so S defaults to N when divisible
+        and to B (one block per batch) otherwise.
+        """
+        n_blocks = n_workers
+        if self in (PolicyKind.BALANCED, PolicyKind.EXPLICIT_VECTOR, PolicyKind.RANDOM_CC):
+            n_blocks = n_workers if n_workers % n_batches == 0 else n_batches
+        return SystemParams(n_workers, n_blocks, n_batches, rate)
 
 
 @dataclass(frozen=True)
@@ -82,13 +109,7 @@ class PolicySpec:
     groups: tuple[frozenset[int], ...] | None = None
 
     def __post_init__(self) -> None:
-        try:
-            kind = PolicyKind(self.kind)
-        except ValueError:
-            raise DomainError(
-                f"unknown policy kind {self.kind!r}; expected one of "
-                f"{sorted(k.value for k in PolicyKind)}"
-            ) from None
+        kind = PolicyKind(self.kind)
         object.__setattr__(self, "kind", kind)
         if kind is PolicyKind.EXPLICIT_VECTOR:
             if self.vector is None:
@@ -230,11 +251,7 @@ def validate_policy(spec: PolicySpec, params: SystemParams) -> None:
     kind = spec.kind
     if kind is PolicyKind.BALANCED:
         validate_params(params, BatchingKind.NON_OVERLAPPING)
-        if params.n_workers % params.n_batches != 0:
-            raise NonDivisibleError(
-                f"balanced assignment needs n_batches={params.n_batches} "
-                f"dividing n_workers={params.n_workers}"
-            )
+        balanced_assignment(params.n_workers, params.n_batches)  # raises unless B | N
     elif kind is PolicyKind.EXPLICIT_VECTOR:
         validate_params(params, BatchingKind.NON_OVERLAPPING)
         assert spec.vector is not None
@@ -252,9 +269,7 @@ def validate_policy(spec: PolicySpec, params: SystemParams) -> None:
         validate_params(params, BatchingKind.NON_OVERLAPPING)
     elif kind in (PolicyKind.CYCLIC, PolicyKind.GROUPED_OVERLAP):
         validate_params(params, BatchingKind.OVERLAPPING)
-        if kind is PolicyKind.GROUPED_OVERLAP and (
-            params.n_workers != 6 or params.n_batches != 3
-        ):
+        if kind.fixed_shape not in (None, (params.n_workers, params.n_batches)):
             raise DomainError(
                 "the grouped-overlap policy is a fixed six-worker, three-batch instance"
             )
@@ -270,23 +285,54 @@ def validate_policy(spec: PolicySpec, params: SystemParams) -> None:
         raise DomainError(f"unhandled policy kind {kind!r}")
 
 
-def resolve_counts(spec: PolicySpec, params: SystemParams) -> tuple[int, ...]:
-    """Per-batch replica counts for the deterministic vector-based kinds."""
-    if spec.kind is PolicyKind.BALANCED:
-        return balanced_assignment(params.n_workers, params.n_batches).counts
-    if spec.kind is PolicyKind.EXPLICIT_VECTOR:
-        assert spec.vector is not None
-        return spec.vector
-    raise DomainError(f"policy kind {spec.kind.value!r} has no fixed assignment vector")
+@dataclass(frozen=True)
+class Plan:
+    """What a policy means on one system.
+
+    Exactly one completion rule is set, or neither: ``counts`` (per-batch
+    replica counts; the job ends at the max over batches of replica minima)
+    or ``groups`` (a function returning the recovery groups; the job ends at
+    the min over groups of the group maximum, and groups are built only when
+    it is called).
+    Random-cc has neither, because its assignment is re-drawn every trial.
+    ``exact(rate)`` is the closed-form expected time, None for random-cc; it
+    raises ComplexityGuardError where the exact route refuses the size.
+    """
+
+    counts: tuple[int, ...] | None = None
+    groups: Callable[[], tuple[frozenset[int], ...]] | None = None
+    exact: Callable[[float], float] | None = None
 
 
-def resolve_groups(spec: PolicySpec, params: SystemParams) -> tuple[frozenset[int], ...]:
-    """Recovery groups for the group-based kinds."""
-    if spec.kind is PolicyKind.CYCLIC:
-        return cyclic_layout(params.n_workers, params.n_batches)[1].groups
-    if spec.kind is PolicyKind.GROUPED_OVERLAP:
-        return shared_pair_layout()[1].groups
-    if spec.kind is PolicyKind.EXPLICIT_STRUCTURE:
+def resolve(spec: PolicySpec, params: SystemParams) -> Plan:
+    """Validate ``spec`` against ``params`` and return the Plan it means."""
+    validate_policy(spec, params)
+    kind, n, b = spec.kind, params.n_workers, params.n_batches
+    if kind is PolicyKind.BALANCED:
+        return Plan(
+            counts=balanced_assignment(n, b).counts,
+            exact=lambda rate: analytics.expected_time_balanced(n, b, rate),
+        )
+    if kind is PolicyKind.EXPLICIT_VECTOR:
+        return Plan(
+            counts=spec.vector,
+            exact=lambda rate: analytics.expected_time_assignment(spec.vector, rate),
+        )
+    if kind is PolicyKind.RANDOM_CC:
+        return Plan()
+    if kind is PolicyKind.CYCLIC:
+        return Plan(
+            groups=lambda: cyclic_layout(n, b)[1].groups,
+            exact=lambda rate: analytics.expected_time_cyclic(n, b, rate),
+        )
+
+    def groups() -> tuple[frozenset[int], ...]:
+        if kind is PolicyKind.GROUPED_OVERLAP:
+            return shared_pair_layout()[1].groups
         assert spec.groups is not None
         return spec.groups
-    raise DomainError(f"policy kind {spec.kind.value!r} has no recovery structure")
+
+    return Plan(
+        groups=groups,
+        exact=lambda rate: analytics.exact_expected_time_structure(groups(), n, rate),
+    )

@@ -45,14 +45,7 @@ from .model import (
     _require_positive_real,
     _require_seed,
 )
-from .policies import (
-    GROUP_KINDS,
-    PolicyKind,
-    PolicySpec,
-    resolve_counts,
-    resolve_groups,
-    validate_policy,
-)
+from .policies import PolicySpec, resolve, validate_policy
 
 __all__ = [
     "SimConfig",
@@ -301,26 +294,22 @@ def monte_carlo(cfg: SimConfig) -> CompletionEstimate:
     deviation over completed trials. Identical configs produce bit-identical
     estimates.
     """
-    kind = cfg.policy.kind
+    plan = resolve(cfg.policy, cfg.system)
     n = cfg.n_samples
     n_workers = cfg.system.n_workers
     covered: np.ndarray | None = None
-    if kind in (PolicyKind.BALANCED, PolicyKind.EXPLICIT_VECTOR):
-        counts = resolve_counts(cfg.policy, cfg.system)
-        if not all(counts):
+    if plan.counts is not None:
+        if not all(plan.counts):
             raise NoCoverageError(
                 "assignment leaves some batch with no worker; no trial can complete"
             )
-        results = _run_fixed_counts(cfg.seed, n, counts, cfg.rate)
-    elif kind is PolicyKind.RANDOM_CC:
+        results = _run_fixed_counts(cfg.seed, n, plan.counts, cfg.rate)
+    elif plan.groups is not None:
+        results = _run_groups(cfg.seed, n, n_workers, plan.groups(), cfg.rate)
+    else:
         results, covered = _run_random_cc(
             cfg.seed, n, n_workers, cfg.system.n_batches, cfg.rate
         )
-    elif kind in GROUP_KINDS:
-        groups = resolve_groups(cfg.policy, cfg.system)
-        results = _run_groups(cfg.seed, n, n_workers, groups, cfg.rate)
-    else:  # pragma: no cover - PolicyKind is closed
-        raise DomainError(f"unhandled policy kind {kind!r}")
 
     if covered is None:
         values = results

@@ -11,6 +11,7 @@ import re
 
 import pytest
 
+from batchlat import policies
 from batchlat.analytics import coverage_probability, expected_time_balanced
 from batchlat.cli import (
     DEFAULT_RATES,
@@ -350,6 +351,21 @@ class TestAnalyzeCommand:
     def test_random_cc_is_rejected(self, capsys):
         assert main(["analyze", "--policy", "random-cc", "-N", "6", "-B", "3"]) == EXIT_USAGE
         assert "simulate" in capsys.readouterr().err
+
+    def test_validates_shape_like_simulate(self, capsys):
+        # grouped-overlap exists only at N=6, B=3; analyze must refuse other shapes.
+        assert main(["analyze", "--policy", "grouped-overlap", "-N", "8", "-B", "4"]) == EXIT_USAGE
+        stderr = capsys.readouterr().err
+        assert "fixed six-worker, three-batch instance" in stderr
+
+    def test_builds_no_groups(self, monkeypatch):
+        # The cyclic closed form needs no recovery groups, and building them
+        # is costly at large N, so analyze must not call cyclic_layout.
+        def refuse(*args):
+            raise AssertionError("analyze built the cyclic groups")
+
+        monkeypatch.setattr(policies, "cyclic_layout", refuse)
+        assert main(["analyze", "--policy", "cyclic", "-N", "60", "-B", "30"]) == EXIT_OK
 
 
 class TestComparePolicies:

@@ -8,6 +8,10 @@ import pytest
 
 from batchlat.analytics import (
     coverage_probability,
+    exact_expected_time_structure,
+    expected_time_assignment,
+    expected_time_balanced,
+    expected_time_cyclic,
     expected_time_structure_rational,
     harmonic,
 )
@@ -26,8 +30,7 @@ from batchlat.policies import (
     cyclic_layout,
     random_cc_assignment,
     replicated_nonoverlap_layout,
-    resolve_counts,
-    resolve_groups,
+    resolve,
     shared_pair_layout,
     validate_policy,
 )
@@ -272,23 +275,57 @@ class TestValidatePolicy:
             validate_policy(spec, SystemParams(5, 5, 5))
 
 
+# Each kind with the analytics closed form the CLI reported for it at
+# N=6, B=3, rate 2; random-cc has none.
+EXACT_CASES = [
+    (PolicySpec(PolicyKind.BALANCED), lambda: expected_time_balanced(6, 3, 2.0)),
+    (
+        PolicySpec(PolicyKind.EXPLICIT_VECTOR, vector=(3, 2, 1)),
+        lambda: expected_time_assignment((3, 2, 1), 2.0),
+    ),
+    (PolicySpec(PolicyKind.RANDOM_CC), lambda: None),
+    (PolicySpec(PolicyKind.CYCLIC), lambda: expected_time_cyclic(6, 3, 2.0)),
+    (
+        PolicySpec(PolicyKind.GROUPED_OVERLAP),
+        lambda: exact_expected_time_structure(shared_pair_layout()[1], 6, 2.0),
+    ),
+    (
+        PolicySpec(PolicyKind.EXPLICIT_STRUCTURE, groups=({0, 2, 4}, {1, 3, 5})),
+        lambda: exact_expected_time_structure([{0, 2, 4}, {1, 3, 5}], 6, 2.0),
+    ),
+]
+
+
 class TestResolvers:
     def test_resolve_counts(self):
         params = SystemParams(6, 6, 3)
-        assert resolve_counts(PolicySpec(PolicyKind.BALANCED), params) == (2, 2, 2)
+        assert resolve(PolicySpec(PolicyKind.BALANCED), params).counts == (2, 2, 2)
         spec = PolicySpec(PolicyKind.EXPLICIT_VECTOR, vector=(3, 2, 1))
-        assert resolve_counts(spec, params) == (3, 2, 1)
-        with pytest.raises(DomainError):
-            resolve_counts(PolicySpec(PolicyKind.CYCLIC), params)
+        assert resolve(spec, params).counts == (3, 2, 1)
+        assert resolve(PolicySpec(PolicyKind.CYCLIC), params).counts is None
 
     def test_resolve_groups(self):
         params = SystemParams(6, 6, 3)
-        assert resolve_groups(PolicySpec(PolicyKind.CYCLIC), params) == (
+        assert resolve(PolicySpec(PolicyKind.CYCLIC), params).groups() == (
             frozenset({0, 2, 4}),
             frozenset({1, 3, 5}),
         )
-        assert len(resolve_groups(PolicySpec(PolicyKind.GROUPED_OVERLAP), params)) == 4
+        assert len(resolve(PolicySpec(PolicyKind.GROUPED_OVERLAP), params).groups()) == 4
         spec = PolicySpec(PolicyKind.EXPLICIT_STRUCTURE, groups=({0, 1},))
-        assert resolve_groups(spec, params) == (frozenset({0, 1}),)
+        assert resolve(spec, params).groups() == (frozenset({0, 1}),)
+        assert resolve(PolicySpec(PolicyKind.BALANCED), params).groups is None
+
+    @pytest.mark.parametrize(
+        "spec, closed_form", EXACT_CASES, ids=[spec.kind.value for spec, _ in EXACT_CASES]
+    )
+    def test_exact_matches_closed_form(self, spec, closed_form):
+        plan = resolve(spec, SystemParams(6, 6, 3))
+        expected = closed_form()
+        if expected is None:
+            assert plan.exact is None
+        else:
+            assert plan.exact(2.0) == expected
+
+    def test_validates_before_resolving(self):
         with pytest.raises(DomainError):
-            resolve_groups(PolicySpec(PolicyKind.BALANCED), params)
+            resolve(PolicySpec(PolicyKind.GROUPED_OVERLAP), SystemParams(8, 8, 4))
