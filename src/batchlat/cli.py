@@ -204,18 +204,15 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
 
     def evaluate(index: int) -> dict:
         policy_name, b, rate = points[index]
-        policy = PolicySpec(PolicyKind(policy_name))
-        system = policy.kind.system(spec.n_workers, b, rate)
-        point_seed = derive_seed(spec.seed, index)
-        estimate = monte_carlo(
-            SimConfig(
-                n_samples=spec.n_samples,
-                seed=point_seed,
-                rate=rate,
-                policy=policy,
-                system=system,
-            )
+        kind = PolicyKind(policy_name)
+        cfg = SimConfig(
+            n_samples=spec.n_samples,
+            seed=derive_seed(spec.seed, index),
+            rate=rate,
+            policy=PolicySpec(kind),
+            system=kind.system(spec.n_workers, b, rate),
         )
+        estimate = monte_carlo(cfg)
         return {
             "policy": policy_name,
             "N": spec.n_workers,
@@ -224,9 +221,9 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
             "mean": estimate.mean,
             "ci_low": estimate.ci95_low,
             "ci_high": estimate.ci95_high,
-            "exact": _exact_or_none(resolve(policy, system), rate),
+            "exact": _exact_or_none(cfg.plan, rate),
             "n_samples": spec.n_samples,
-            "seed": point_seed,
+            "seed": cfg.seed,
         }
 
     threads = _thread_count()
@@ -472,7 +469,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         n_samples=args.samples, seed=args.seed, rate=args.rate, policy=spec, system=system
     )
     estimate = monte_carlo(cfg)
-    exact = _exact_or_none(resolve(spec, system), args.rate)
+    exact = _exact_or_none(cfg.plan, args.rate)
     lines = [
         ("policy", spec.kind.value),
         ("n_workers", str(n)),
@@ -532,15 +529,21 @@ def cmd_compare_policies(args: argparse.Namespace) -> int:
             "intervals are reported"
         )
     system = SystemParams(6, 6, 3, args.rate)
-    entries = [
-        (label, PolicySpec(PolicyKind.EXPLICIT_STRUCTURE, groups=layout[1].groups))
-        for label, layout in (
+    cfgs = {
+        label: SimConfig(
+            n_samples=args.samples,
+            seed=derive_seed(args.seed, index),
+            rate=args.rate,
+            policy=PolicySpec(PolicyKind.EXPLICIT_STRUCTURE, groups=layout[1].groups),
+            system=system,
+        )
+        for index, (label, layout) in enumerate((
             ("cyclic", cyclic_layout(6, 3)),
             ("grouped-overlap", shared_pair_layout()),
             ("replicated", replicated_nonoverlap_layout(6, 3)),
-        )
-    ]
-    exacts = {label: resolve(spec, system).exact(args.rate) for label, spec in entries}
+        ))
+    }
+    exacts = {label: cfg.plan.exact(args.rate) for label, cfg in cfgs.items()}
     if not exacts["replicated"] < exacts["grouped-overlap"] < exacts["cyclic"]:
         raise RuntimeError(
             "internal invariant violated: expected replicated < grouped-overlap < cyclic"
@@ -549,14 +552,7 @@ def cmd_compare_policies(args: argparse.Namespace) -> int:
         f"{'policy':<16} {'exact':>12} {'mc_mean':>12} {'ci95_low':>12} "
         f"{'ci95_high':>12} {'within_ci':>9}"
     )
-    for index, (label, spec) in enumerate(entries):
-        cfg = SimConfig(
-            n_samples=args.samples,
-            seed=derive_seed(args.seed, index),
-            rate=args.rate,
-            policy=spec,
-            system=system,
-        )
+    for label, cfg in cfgs.items():
         estimate = monte_carlo(cfg)
         within = estimate.contains(exacts[label])
         print(
@@ -690,10 +686,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, UncoveredBatchError) as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ComplexityGuardError, NoCoverageError) as exc:
+    except (ComplexityGuardError, NoCoverageError, UncoveredBatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except OSError as exc:

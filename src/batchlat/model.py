@@ -98,10 +98,7 @@ class SystemParams:
         _require_positive_int(self.n_workers, "n_workers")
         _require_positive_int(self.n_blocks, "n_blocks")
         _require_positive_int(self.n_batches, "n_batches")
-        if not (isinstance(self.rate, (int, float)) and not isinstance(self.rate, bool)):
-            raise DomainError(f"rate must be a number, got {self.rate!r}")
-        if not math.isfinite(self.rate) or self.rate <= 0:
-            raise NonPositiveError(f"rate must be positive and finite, got {self.rate}")
+        _require_positive_real(self.rate, "rate")
 
     @property
     def batch_size(self) -> int:
@@ -362,8 +359,7 @@ class CompletionEstimate:
 
     def __post_init__(self) -> None:
         _require_positive_int(self.n_samples, "n_samples")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
-            raise DomainError(f"seed must be a non-negative integer, got {self.seed!r}")
+        _require_seed(self.seed)
         if not (self.ci95_low <= self.mean <= self.ci95_high):
             raise DomainError(
                 f"confidence interval [{self.ci95_low}, {self.ci95_high}] "

@@ -7,9 +7,10 @@ batching gives each worker a window of blocks that may intersect other
 workers' windows; completion is then governed by a RecoveryStructure of
 worker groups whose batches partition the block set.
 
-``resolve`` is where a kind's meaning lives: the sampler and the CLI take a
-policy's replica counts, recovery groups and exact closed form from the Plan
-it returns.
+``resolve`` is where a kind's meaning lives: it checks a policy against a
+system, then returns a Plan holding the policy's replica counts, recovery
+groups and exact closed form, which the sampler and the CLI read.
+``validate_policy`` is ``resolve`` with the plan thrown away.
 """
 
 from __future__ import annotations
@@ -237,54 +238,6 @@ def replicated_nonoverlap_layout(
     return BatchLayout(batches, n_blocks=n_workers), RecoveryStructure(groups)
 
 
-def validate_policy(spec: PolicySpec, params: SystemParams) -> None:
-    """Check that a policy is usable with the given system parameters.
-
-    Raises DomainError (or a subclass) when shapes do not line up, for
-    example a vector of the wrong length or an overlapping policy on a
-    system with S != N.
-    """
-    if not isinstance(spec, PolicySpec):
-        raise DomainError(f"expected a PolicySpec, got {spec!r}")
-    if not isinstance(params, SystemParams):
-        raise DomainError(f"expected SystemParams, got {params!r}")
-    kind = spec.kind
-    if kind is PolicyKind.BALANCED:
-        validate_params(params, BatchingKind.NON_OVERLAPPING)
-        balanced_assignment(params.n_workers, params.n_batches)  # raises unless B | N
-    elif kind is PolicyKind.EXPLICIT_VECTOR:
-        validate_params(params, BatchingKind.NON_OVERLAPPING)
-        assert spec.vector is not None
-        if len(spec.vector) != params.n_batches:
-            raise DomainError(
-                f"vector has {len(spec.vector)} entries but the system has "
-                f"{params.n_batches} batches"
-            )
-        if sum(spec.vector) != params.n_workers:
-            raise DomainError(
-                f"vector assigns {sum(spec.vector)} workers but the system has "
-                f"{params.n_workers}"
-            )
-    elif kind is PolicyKind.RANDOM_CC:
-        validate_params(params, BatchingKind.NON_OVERLAPPING)
-    elif kind in (PolicyKind.CYCLIC, PolicyKind.GROUPED_OVERLAP):
-        validate_params(params, BatchingKind.OVERLAPPING)
-        if kind.fixed_shape not in (None, (params.n_workers, params.n_batches)):
-            raise DomainError(
-                "the grouped-overlap policy is a fixed six-worker, three-batch instance"
-            )
-    elif kind is PolicyKind.EXPLICIT_STRUCTURE:
-        validate_params(params, BatchingKind.ANY)
-        assert spec.groups is not None
-        for g in spec.groups:
-            if max(g) >= params.n_workers:
-                raise DomainError(
-                    f"group {sorted(g)} references a worker >= {params.n_workers}"
-                )
-    else:  # pragma: no cover - PolicyKind is closed
-        raise DomainError(f"unhandled policy kind {kind!r}")
-
-
 @dataclass(frozen=True)
 class Plan:
     """What a policy means on one system.
@@ -305,34 +258,67 @@ class Plan:
 
 
 def resolve(spec: PolicySpec, params: SystemParams) -> Plan:
-    """Validate ``spec`` against ``params`` and return the Plan it means."""
-    validate_policy(spec, params)
+    """Check that a policy is usable with the given system parameters and
+    return the Plan it means there.
+
+    Raises DomainError (or a subclass) when shapes do not line up, for
+    example a vector of the wrong length or an overlapping policy on a
+    system with S != N.
+    """
+    if not isinstance(spec, PolicySpec):
+        raise DomainError(f"expected a PolicySpec, got {spec!r}")
+    if not isinstance(params, SystemParams):
+        raise DomainError(f"expected SystemParams, got {params!r}")
     kind, n, b = spec.kind, params.n_workers, params.n_batches
     if kind is PolicyKind.BALANCED:
+        validate_params(params, BatchingKind.NON_OVERLAPPING)
         return Plan(
-            counts=balanced_assignment(n, b).counts,
+            counts=balanced_assignment(n, b).counts,  # raises unless B | N
             exact=lambda rate: analytics.expected_time_balanced(n, b, rate),
         )
     if kind is PolicyKind.EXPLICIT_VECTOR:
+        validate_params(params, BatchingKind.NON_OVERLAPPING)
+        vector = spec.vector
+        if len(vector) != b:
+            raise DomainError(
+                f"vector has {len(vector)} entries but the system has {b} batches"
+            )
+        if sum(vector) != n:
+            raise DomainError(f"vector assigns {sum(vector)} workers but the system has {n}")
         return Plan(
-            counts=spec.vector,
-            exact=lambda rate: analytics.expected_time_assignment(spec.vector, rate),
+            counts=vector,
+            exact=lambda rate: analytics.expected_time_assignment(vector, rate),
         )
     if kind is PolicyKind.RANDOM_CC:
+        validate_params(params, BatchingKind.NON_OVERLAPPING)
         return Plan()
     if kind is PolicyKind.CYCLIC:
+        validate_params(params, BatchingKind.OVERLAPPING)
         return Plan(
             groups=lambda: cyclic_layout(n, b)[1].groups,
             exact=lambda rate: analytics.expected_time_cyclic(n, b, rate),
         )
+    if kind is PolicyKind.GROUPED_OVERLAP:
+        validate_params(params, BatchingKind.OVERLAPPING)
+        if kind.fixed_shape != (n, b):
+            raise DomainError(
+                "the grouped-overlap policy is a fixed six-worker, three-batch instance"
+            )
+    else:  # explicit-structure
+        validate_params(params, BatchingKind.ANY)
+        for g in spec.groups:
+            if max(g) >= n:
+                raise DomainError(f"group {sorted(g)} references a worker >= {n}")
 
     def groups() -> tuple[frozenset[int], ...]:
-        if kind is PolicyKind.GROUPED_OVERLAP:
-            return shared_pair_layout()[1].groups
-        assert spec.groups is not None
-        return spec.groups
+        return shared_pair_layout()[1].groups if spec.groups is None else spec.groups
 
     return Plan(
         groups=groups,
         exact=lambda rate: analytics.exact_expected_time_structure(groups(), n, rate),
     )
+
+
+def validate_policy(spec: PolicySpec, params: SystemParams) -> None:
+    """``resolve`` with the plan thrown away: raises exactly where it does."""
+    resolve(spec, params)

@@ -9,21 +9,26 @@ deterministic policies, d = 2N for random-cc: N batch draws followed by N
 service draws), padded up to whole counter blocks. Trial t always reads
 from counter offset t * ceil(d/4), so chunking, chunk size, and thread
 scheduling cannot change results: the same (seed, policy, shape, rate,
-n_samples) is bit-for-bit reproducible.
+n_samples) is bit-for-bit reproducible. The chunking lives in one generator,
+``_chunks``; each policy's kernel maps one chunk's uniforms to per-trial
+completion times.
 
 Service times come from the inverse CDF, ``-log1p(-u) / rate`` with u
 uniform on [0, 1), clamped to the smallest positive normal float so samples
 are strictly positive. Aggregation happens over fully materialized result
 arrays in trial order, so the estimate does not depend on how trials were
-chunked. Ties in finish order, which can occur in float, are broken by
-worker id.
+chunked. A random-cc trial whose draw misses a batch has completion time
+``inf`` (the max over a batch minimum that is never filled); the finite
+entries are the covered trials. Ties in finish order, which can occur in
+float, are broken by worker id.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
-from collections.abc import Iterable, Sequence
+from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
@@ -45,7 +50,7 @@ from .model import (
     _require_positive_real,
     _require_seed,
 )
-from .policies import PolicySpec, resolve, validate_policy
+from .policies import Plan, PolicySpec, resolve
 
 __all__ = [
     "SimConfig",
@@ -74,8 +79,7 @@ def derive_seed(master_seed: int, index: int) -> int:
     points or test cases can each own a stream derived from one master seed.
     """
     _require_seed(master_seed, "master_seed")
-    if isinstance(index, bool) or not isinstance(index, int) or index < 0:
-        raise DomainError(f"index must be a non-negative integer, got {index!r}")
+    _require_seed(index, "index")
     return int(SeedSequence([master_seed, index]).generate_state(1, np.uint64)[0])
 
 
@@ -89,6 +93,12 @@ def _uniform_block(seed: int, start_trial: int, n_trials: int, draws_per_trial: 
     bits = Philox(SeedSequence(seed))
     bits.advance(start_trial * blocks)
     return Generator(bits).random((n_trials, 4 * blocks))[:, :draws_per_trial]
+
+
+def _chunks(seed: int, n: int, draws_per_trial: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(first_trial, uniforms) for trials [0, n), _TRIALS_PER_CHUNK at a time."""
+    for lo in range(0, n, _TRIALS_PER_CHUNK):
+        yield lo, _uniform_block(seed, lo, min(_TRIALS_PER_CHUNK, n - lo), draws_per_trial)
 
 
 def _exponential_from_uniform(u: np.ndarray, rate: float) -> np.ndarray:
@@ -210,7 +220,9 @@ class SimConfig:
     """One Monte Carlo run: trial count, master seed, rate, policy, system.
 
     ``rate`` is the service rate actually used for sampling; construct
-    ``system`` with the same rate to keep the record consistent.
+    ``system`` with the same rate to keep the record consistent. ``plan`` is
+    resolved once, at construction, so a policy that does not fit the system
+    raises here and the run itself resolves nothing.
     """
 
     n_samples: int
@@ -218,70 +230,46 @@ class SimConfig:
     rate: float
     policy: PolicySpec
     system: SystemParams
+    plan: Plan = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _require_positive_int(self.n_samples, "n_samples")
         _require_seed(self.seed)
         _require_positive_real(self.rate, "rate")
-        if not isinstance(self.policy, PolicySpec):
-            raise DomainError(f"policy must be a PolicySpec, got {self.policy!r}")
-        if not isinstance(self.system, SystemParams):
-            raise DomainError(f"system must be SystemParams, got {self.system!r}")
-        validate_policy(self.policy, self.system)
+        object.__setattr__(self, "plan", resolve(self.policy, self.system))
 
 
-def _run_fixed_counts(seed: int, n: int, counts: tuple[int, ...], rate: float) -> np.ndarray:
-    n_workers = sum(counts)
-    uniform = len(set(counts)) == 1
-    if not uniform:
-        starts = np.cumsum((0,) + counts[:-1])
-    out = np.empty(n)
-    for lo in range(0, n, _TRIALS_PER_CHUNK):
-        m = min(_TRIALS_PER_CHUNK, n - lo)
-        t = _exponential_from_uniform(_uniform_block(seed, lo, m, n_workers), rate)
-        if uniform:
-            mins = t.reshape(m, len(counts), counts[0]).min(axis=2)
-        else:
-            mins = np.minimum.reduceat(t, starts, axis=1)
-        out[lo : lo + m] = mins.max(axis=1)
-    return out
+def _run_fixed_counts(u: np.ndarray, counts: tuple[int, ...], rate: float) -> np.ndarray:
+    """Per-trial max over batches of the batch's replica minimum."""
+    t = _exponential_from_uniform(u, rate)
+    if len(set(counts)) == 1:
+        mins = t.reshape(len(t), len(counts), counts[0]).min(axis=2)
+    else:
+        mins = np.minimum.reduceat(t, np.cumsum((0,) + counts[:-1]), axis=1)
+    return mins.max(axis=1)
 
 
-def _run_groups(
-    seed: int, n: int, n_workers: int, groups: Sequence[frozenset[int]], rate: float
-) -> np.ndarray:
-    columns = [np.fromiter(sorted(g), dtype=np.int64) for g in groups]
-    out = np.empty(n)
-    for lo in range(0, n, _TRIALS_PER_CHUNK):
-        m = min(_TRIALS_PER_CHUNK, n - lo)
-        t = _exponential_from_uniform(_uniform_block(seed, lo, m, n_workers), rate)
-        best: np.ndarray | None = None
-        for cols in columns:
-            group_max = t[:, cols].max(axis=1)
-            best = group_max if best is None else np.minimum(best, group_max)
-        assert best is not None
-        out[lo : lo + m] = best
-    return out
+def _run_groups(u: np.ndarray, columns: Sequence[np.ndarray], rate: float) -> np.ndarray:
+    """Per-trial min over recovery groups (worker-id arrays) of the group max."""
+    t = _exponential_from_uniform(u, rate)
+    best = t[:, columns[0]].max(axis=1)
+    for cols in columns[1:]:
+        np.minimum(best, t[:, cols].max(axis=1), out=best)
+    return best
 
 
-def _run_random_cc(
-    seed: int, n: int, n_workers: int, n_batches: int, rate: float
-) -> tuple[np.ndarray, np.ndarray]:
-    out = np.empty(n)
-    covered = np.empty(n, dtype=bool)
-    for lo in range(0, n, _TRIALS_PER_CHUNK):
-        m = min(_TRIALS_PER_CHUNK, n - lo)
-        u = _uniform_block(seed, lo, m, 2 * n_workers)
-        ids = np.minimum(
-            (u[:, :n_workers] * n_batches).astype(np.int64), n_batches - 1
-        )
-        t = _exponential_from_uniform(u[:, n_workers:], rate)
-        mins = np.full((m, n_batches), np.inf)
-        flat_idx = (np.arange(m, dtype=np.int64)[:, None] * n_batches + ids).ravel()
-        np.minimum.at(mins.reshape(-1), flat_idx, t.ravel())
-        covered[lo : lo + m] = np.isfinite(mins).all(axis=1)
-        out[lo : lo + m] = mins.max(axis=1)
-    return out, covered
+def _run_random_cc(u: np.ndarray, n_batches: int, rate: float) -> np.ndarray:
+    """Per-trial completion under a fresh draw: the first N uniforms of a row
+    pick each worker's batch, the last N set its service time."""
+    m, n_workers = u.shape[0], u.shape[1] // 2
+    # flat index of (trial, batch) into mins, built in place
+    idx = (u[:, :n_workers] * n_batches).astype(np.int64)
+    np.minimum(idx, n_batches - 1, out=idx)
+    idx += np.arange(0, m * n_batches, n_batches, dtype=np.int64)[:, None]
+    t = _exponential_from_uniform(u[:, n_workers:], rate)
+    mins = np.full((m, n_batches), np.inf)
+    np.minimum.at(mins.reshape(-1), idx.ravel(), t.ravel())
+    return mins.max(axis=1)
 
 
 def monte_carlo(cfg: SimConfig) -> CompletionEstimate:
@@ -294,35 +282,32 @@ def monte_carlo(cfg: SimConfig) -> CompletionEstimate:
     deviation over completed trials. Identical configs produce bit-identical
     estimates.
     """
-    plan = resolve(cfg.policy, cfg.system)
-    n = cfg.n_samples
-    n_workers = cfg.system.n_workers
-    covered: np.ndarray | None = None
+    plan, n, rate = cfg.plan, cfg.n_samples, cfg.rate
+    draws = cfg.system.n_workers
     if plan.counts is not None:
         if not all(plan.counts):
             raise NoCoverageError(
                 "assignment leaves some batch with no worker; no trial can complete"
             )
-        results = _run_fixed_counts(cfg.seed, n, plan.counts, cfg.rate)
+        kernel = functools.partial(_run_fixed_counts, counts=plan.counts, rate=rate)
     elif plan.groups is not None:
-        results = _run_groups(cfg.seed, n, n_workers, plan.groups(), cfg.rate)
+        columns = [np.fromiter(sorted(g), dtype=np.int64) for g in plan.groups()]
+        kernel = functools.partial(_run_groups, columns=columns, rate=rate)
     else:
-        results, covered = _run_random_cc(
-            cfg.seed, n, n_workers, cfg.system.n_batches, cfg.rate
-        )
+        draws *= 2  # N batch draws, then N service draws
+        kernel = functools.partial(_run_random_cc, n_batches=cfg.system.n_batches, rate=rate)
+    results = np.empty(n)
+    for lo, u in _chunks(cfg.seed, n, draws):
+        results[lo : lo + len(u)] = kernel(u)
 
-    if covered is None:
-        values = results
-        n_covered = n
-        coverage_rate = 1.0
-    else:
-        n_covered = int(covered.sum())
-        coverage_rate = n_covered / n
-        if n_covered == 0:
-            raise NoCoverageError(
-                f"none of the {n} trials covered all {cfg.system.n_batches} batches"
-            )
-        values = results[covered]
+    covered = np.isfinite(results)
+    n_covered = int(covered.sum())
+    if n_covered == 0:
+        raise NoCoverageError(
+            f"none of the {n} trials covered all {cfg.system.n_batches} batches"
+        )
+    values = results if n_covered == n else results[covered]
+    coverage_rate = n_covered / n
     mean = float(values.mean())
     std = float(values.std(ddof=1)) if n_covered > 1 else 0.0
     std_error = std / math.sqrt(n_covered)
@@ -345,9 +330,7 @@ def coverage_empirical(n_batches: int, n_workers: int, n_samples: int, seed: int
     _require_positive_int(n_samples, "n_samples")
     _require_seed(seed)
     hits = 0
-    for lo in range(0, n_samples, _TRIALS_PER_CHUNK):
-        m = min(_TRIALS_PER_CHUNK, n_samples - lo)
-        u = _uniform_block(seed, lo, m, n_workers)
+    for _, u in _chunks(seed, n_samples, n_workers):
         ids = np.minimum((u * n_batches).astype(np.int64), n_batches - 1)
         ids.sort(axis=1)
         distinct = (np.diff(ids, axis=1) != 0).sum(axis=1) + 1

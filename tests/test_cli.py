@@ -7,7 +7,11 @@ and output is captured by capsys.
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -276,6 +280,20 @@ class TestSimulateCommand:
             "simulate", "--policy", "balanced", "-N", "6", "-B", "3", "--samples", "999",
         ]) == EXIT_USAGE
 
+    def test_validates_the_system_once(self, monkeypatch):
+        calls = []
+        validate_params = policies.validate_params
+
+        def counting(*args):
+            calls.append(args)
+            return validate_params(*args)
+
+        monkeypatch.setattr(policies, "validate_params", counting)
+        assert main([
+            "simulate", "--policy", "balanced", "-N", "6", "-B", "3", "--samples", "1000",
+        ]) == EXIT_OK
+        assert len(calls) == 1
+
 
 class TestCoverageCommand:
     def test_exact_table(self, capsys):
@@ -419,6 +437,11 @@ class TestExitCodes:
         ]) == EXIT_GUARD
         assert "error:" in capsys.readouterr().err
 
+    def test_uncoverable_vector_same_code_in_analyze(self, capsys):
+        # analyze and simulate refuse a zero-count vector with one exit code
+        assert main(["analyze", "--policy", "explicit-vector", "--vector", "3,0,3"]) == EXIT_GUARD
+        assert "error:" in capsys.readouterr().err
+
     def test_io_error(self, tmp_path, capsys):
         missing = tmp_path / "no" / "such" / "dir" / "out.csv"
         assert main([
@@ -429,3 +452,17 @@ class TestExitCodes:
 
     def test_missing_config_file(self, tmp_path):
         assert main(["sweep", "--config", str(tmp_path / "none.json")]) == EXIT_IO
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_the_cli(self, capsys):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        argv = ["analyze", "--policy", "balanced", "-N", "6", "-B", "3"]
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "batchlat", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert main(argv) == EXIT_OK
+        assert proc.stdout == capsys.readouterr().out

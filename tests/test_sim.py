@@ -207,18 +207,31 @@ class TestMonteCarloDeterminism:
 
     def test_chunking_does_not_change_the_stream(self, monkeypatch):
         system = SystemParams(6, 6, 3)
-        spec = PolicySpec(PolicyKind.RANDOM_CC)
-        baseline = _estimate(spec, system, n_samples=5_000)
+        specs = [
+            PolicySpec(PolicyKind.BALANCED),
+            PolicySpec(PolicyKind.EXPLICIT_VECTOR, vector=(3, 2, 1)),
+            PolicySpec(PolicyKind.CYCLIC),
+            PolicySpec(PolicyKind.RANDOM_CC),
+        ]
+
+        def run():
+            estimates = [_estimate(spec, system, n_samples=5_000) for spec in specs]
+            return estimates, coverage_empirical(3, 6, 5_000, 7)
+
+        baseline = run()
         monkeypatch.setattr(sim, "_TRIALS_PER_CHUNK", 512)
-        chunked = _estimate(spec, system, n_samples=5_000)
-        assert baseline == chunked
+        assert run() == baseline
 
     def test_prefix_property(self):
         # the first trials of a longer run are the same trials
-        groups = list(cyclic_layout(6, 3)[1].groups)
-        short = sim._run_groups(7, 100, 6, groups, 1.0)
-        long = sim._run_groups(7, 1000, 6, groups, 1.0)
-        assert np.array_equal(short, long[:100])
+        columns = [np.array(sorted(g)) for g in cyclic_layout(6, 3)[1].groups]
+
+        def run(n):
+            return np.concatenate(
+                [sim._run_groups(u, columns, 1.0) for _, u in sim._chunks(7, n, 6)]
+            )
+
+        assert np.array_equal(run(100), run(1000)[:100])
 
 
 class TestMonteCarloAccuracy:
