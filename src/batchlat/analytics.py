@@ -307,8 +307,10 @@ def expected_time_cyclic_rational(n_workers: int, n_batches: int) -> Fraction:
         )
     n_groups = n_workers // n_batches
     total = Fraction(0)
+    h = Fraction(0)  # H_{jB}, extended by B terms per j
     for j in range(1, n_groups + 1):
-        term = math.comb(n_groups, j) * harmonic(j * n_batches)
+        h += sum(Fraction(1, k) for k in range((j - 1) * n_batches + 1, j * n_batches + 1))
+        term = math.comb(n_groups, j) * h
         total += term if j % 2 == 1 else -term
     return total
 

@@ -11,9 +11,9 @@ no-coverage errors; 4 I/O errors.
 
 Sweep configs are flat JSON objects whose keys are exactly the SweepSpec
 field names; explicit command-line flags override config values. The
-``BATCHLAT_THREADS`` environment variable sets how many grid points run
-concurrently; every grid point owns a seed derived from (seed, point index),
-so the thread count never changes numerical results.
+``BATCHLAT_THREADS`` environment variable (1 to 256) sets how many grid
+points run concurrently; every grid point owns a seed derived from (seed,
+point index), so the thread count never changes numerical results.
 """
 
 from __future__ import annotations
@@ -74,6 +74,7 @@ EXIT_GUARD = 3
 EXIT_IO = 4
 
 THREADS_ENV_VAR = "BATCHLAT_THREADS"
+_MAX_THREADS = 256
 DEFAULT_SEED = 12345
 
 #: Default sweep grid: 20 log-spaced rates covering both the low-rate
@@ -190,6 +191,8 @@ def _thread_count() -> int:
         raise DomainError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from None
     if value < 1:
         raise DomainError(f"{THREADS_ENV_VAR} must be >= 1, got {value}")
+    if value > _MAX_THREADS:
+        raise DomainError(f"{THREADS_ENV_VAR} must be <= {_MAX_THREADS}, got {value}")
     return value
 
 

@@ -10,15 +10,22 @@ service draws), padded up to whole counter blocks. Trial t always reads
 from counter offset t * ceil(d/4), so chunking, chunk size, and thread
 scheduling cannot change results: the same (seed, policy, shape, rate,
 n_samples) is bit-for-bit reproducible. The chunking lives in one generator,
-``_chunks``; each policy's kernel maps one chunk's uniforms to per-trial
-completion times.
+``_chunks``; each policy's kernel maps one chunk's uniforms to one uniform
+per trial.
 
 Service times come from the inverse CDF, ``-log1p(-u) / rate`` with u
 uniform on [0, 1), clamped to the smallest positive normal float so samples
-are strictly positive. Aggregation happens over fully materialized result
-arrays in trial order, so the estimate does not depend on how trials were
-chunked. A random-cc trial whose draw misses a batch has completion time
-``inf`` (the max over a batch minimum that is never filled); the finite
+are strictly positive. Every completion rule is a min or max over service
+times, so the kernels take those mins and maxes over the uniforms and
+``monte_carlo`` runs the transform once per trial instead of once per
+worker. That is exact, not an approximation: u -> -log1p(-u) is monotone
+non-decreasing, dividing by a positive rate and clamping from below keep
+it so, and a monotone non-decreasing map commutes with min and max, so the
+transformed result is bit-identical to reducing transformed samples.
+Aggregation happens over fully materialized result arrays in trial order,
+so the estimate does not depend on how trials were chunked. A random-cc
+trial whose draw misses a batch has completion time ``inf`` (the max over a
+batch minimum that is never filled) and is never transformed; the finite
 entries are the covered trials. Ties in finish order, which can occur in
 float, are broken by worker id.
 """
@@ -239,36 +246,58 @@ class SimConfig:
         object.__setattr__(self, "plan", resolve(self.policy, self.system))
 
 
-def _run_fixed_counts(u: np.ndarray, counts: tuple[int, ...], rate: float) -> np.ndarray:
-    """Per-trial max over batches of the batch's replica minimum."""
-    t = _exponential_from_uniform(u, rate)
-    if len(set(counts)) == 1:
-        mins = t.reshape(len(t), len(counts), counts[0]).min(axis=2)
-    else:
-        mins = np.minimum.reduceat(t, np.cumsum((0,) + counts[:-1]), axis=1)
-    return mins.max(axis=1)
+def _run_fixed_counts(u: np.ndarray, counts: tuple[int, ...]) -> np.ndarray:
+    """Per-trial max over batches of the batch's replica minimum, in uniforms.
+
+    Batch i's c_i replicas are the next c_i columns of u. Each batch is
+    folded with elementwise minima over its columns, read as rows of the
+    worker-major view u.T, so no reduction runs along a short row axis.
+    """
+    rows = u.T
+    worst = np.zeros(len(u))  # uniforms are >= 0
+    best = np.empty(len(u))
+    pos = 0
+    for c in counts:
+        np.copyto(best, rows[pos])
+        for w in range(pos + 1, pos + c):
+            np.minimum(best, rows[w], out=best)
+        np.maximum(worst, best, out=worst)
+        pos += c
+    return worst
 
 
-def _run_groups(u: np.ndarray, columns: Sequence[np.ndarray], rate: float) -> np.ndarray:
-    """Per-trial min over recovery groups (worker-id arrays) of the group max."""
-    t = _exponential_from_uniform(u, rate)
-    best = t[:, columns[0]].max(axis=1)
-    for cols in columns[1:]:
-        np.minimum(best, t[:, cols].max(axis=1), out=best)
+def _run_groups(u: np.ndarray, columns: Sequence[Sequence[int]]) -> np.ndarray:
+    """Per-trial min over recovery groups (worker-id lists) of the group max, in uniforms.
+
+    Each group is folded with elementwise maxima over its workers' columns,
+    read as rows of the worker-major view u.T. When the groups read workers
+    more than once in all, one contiguous copy of that view makes every
+    later read sequential.
+    """
+    rows = u.T
+    if sum(map(len, columns)) > u.shape[1]:
+        rows = np.ascontiguousarray(rows)
+    best = np.full(len(u), np.inf)
+    worst = np.empty(len(u))
+    for cols in columns:
+        np.copyto(worst, rows[cols[0]])
+        for w in cols[1:]:
+            np.maximum(worst, rows[w], out=worst)
+        np.minimum(best, worst, out=best)
     return best
 
 
-def _run_random_cc(u: np.ndarray, n_batches: int, rate: float) -> np.ndarray:
-    """Per-trial completion under a fresh draw: the first N uniforms of a row
-    pick each worker's batch, the last N set its service time."""
+def _run_random_cc(u: np.ndarray, n_batches: int) -> np.ndarray:
+    """Per-trial completion under a fresh draw, in uniforms: the first N
+    uniforms of a row pick each worker's batch, the last N are its service
+    uniforms. A trial whose draw misses a batch comes out ``inf``."""
     m, n_workers = u.shape[0], u.shape[1] // 2
     # flat index of (trial, batch) into mins, built in place
     idx = (u[:, :n_workers] * n_batches).astype(np.int64)
     np.minimum(idx, n_batches - 1, out=idx)
     idx += np.arange(0, m * n_batches, n_batches, dtype=np.int64)[:, None]
-    t = _exponential_from_uniform(u[:, n_workers:], rate)
     mins = np.full((m, n_batches), np.inf)
-    np.minimum.at(mins.reshape(-1), idx.ravel(), t.ravel())
+    np.minimum.at(mins.reshape(-1), idx.ravel(), u[:, n_workers:].ravel())
     return mins.max(axis=1)
 
 
@@ -289,24 +318,27 @@ def monte_carlo(cfg: SimConfig) -> CompletionEstimate:
             raise NoCoverageError(
                 "assignment leaves some batch with no worker; no trial can complete"
             )
-        kernel = functools.partial(_run_fixed_counts, counts=plan.counts, rate=rate)
+        kernel = functools.partial(_run_fixed_counts, counts=plan.counts)
     elif plan.groups is not None:
-        columns = [np.fromiter(sorted(g), dtype=np.int64) for g in plan.groups()]
-        kernel = functools.partial(_run_groups, columns=columns, rate=rate)
+        columns = [sorted(g) for g in plan.groups()]
+        kernel = functools.partial(_run_groups, columns=columns)
     else:
         draws *= 2  # N batch draws, then N service draws
-        kernel = functools.partial(_run_random_cc, n_batches=cfg.system.n_batches, rate=rate)
+        kernel = functools.partial(_run_random_cc, n_batches=cfg.system.n_batches)
     results = np.empty(n)
+    n_covered = 0
     for lo, u in _chunks(cfg.seed, n, draws):
-        results[lo : lo + len(u)] = kernel(u)
+        best = kernel(u)
+        finite = np.isfinite(best)  # random-cc's uncovered trials stay inf
+        best[finite] = _exponential_from_uniform(best[finite], rate)
+        results[lo : lo + len(best)] = best
+        n_covered += int(finite.sum())
 
-    covered = np.isfinite(results)
-    n_covered = int(covered.sum())
     if n_covered == 0:
         raise NoCoverageError(
             f"none of the {n} trials covered all {cfg.system.n_batches} batches"
         )
-    values = results if n_covered == n else results[covered]
+    values = results if n_covered == n else results[np.isfinite(results)]
     coverage_rate = n_covered / n
     mean = float(values.mean())
     std = float(values.std(ddof=1)) if n_covered > 1 else 0.0

@@ -325,6 +325,15 @@ class TestCyclic:
                 structure, n
             ), (n, b)
 
+    def test_matches_harmonic_sum(self):
+        # the closed form with each H_{jB} rebuilt from scratch
+        for n, b in [(6, 3), (12, 4), (30, 5), (40, 8), (7, 7), (9, 1), (60, 20)]:
+            g = n // b
+            direct = sum(
+                (-1) ** (j + 1) * math.comb(g, j) * harmonic(j * b) for j in range(1, g + 1)
+            )
+            assert expected_time_cyclic_rational(n, b) == direct, (n, b)
+
     def test_divisibility_required(self):
         with pytest.raises(DomainError):
             expected_time_cyclic_rational(10, 3)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from batchlat import policies
+from batchlat import cli, policies
 from batchlat.analytics import coverage_probability, expected_time_balanced
 from batchlat.cli import (
     DEFAULT_RATES,
@@ -172,6 +172,15 @@ class TestSweepCommand:
     def test_bad_thread_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BATCHLAT_THREADS", "zero")
         assert main(self._args(tmp_path / "x.csv")) == EXIT_USAGE
+
+    def test_thread_env_is_capped(self, monkeypatch):
+        # reads the variable only; no pool is started at these sizes
+        monkeypatch.setenv("BATCHLAT_THREADS", "256")
+        assert cli._thread_count() == 256
+        for raw in ("257", "1000000"):
+            monkeypatch.setenv("BATCHLAT_THREADS", raw)
+            with pytest.raises(DomainError, match=f"BATCHLAT_THREADS must be <= 256, got {raw}"):
+                cli._thread_count()
 
     def test_config_file_with_flag_override(self, tmp_path):
         out = tmp_path / "cfg.csv"

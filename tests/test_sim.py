@@ -228,10 +228,92 @@ class TestMonteCarloDeterminism:
 
         def run(n):
             return np.concatenate(
-                [sim._run_groups(u, columns, 1.0) for _, u in sim._chunks(7, n, 6)]
+                [sim._run_groups(u, columns) for _, u in sim._chunks(7, n, 6)]
             )
 
         assert np.array_equal(run(100), run(1000)[:100])
+
+
+# Transform-first reference kernels: every uniform becomes a service time
+# before any min or max. The production kernels reduce the uniforms first.
+def _ref_fixed_counts(u, counts, rate):
+    t = sim._exponential_from_uniform(u, rate)
+    if len(set(counts)) == 1:
+        mins = t.reshape(len(t), len(counts), counts[0]).min(axis=2)
+    else:
+        mins = np.minimum.reduceat(t, np.cumsum((0,) + counts[:-1]), axis=1)
+    return mins.max(axis=1)
+
+
+def _ref_groups(u, columns, rate):
+    t = sim._exponential_from_uniform(u, rate)
+    best = t[:, columns[0]].max(axis=1)
+    for cols in columns[1:]:
+        np.minimum(best, t[:, cols].max(axis=1), out=best)
+    return best
+
+
+def _ref_random_cc(u, n_batches, rate):
+    n_workers = u.shape[1] // 2
+    ids = np.minimum((u[:, :n_workers] * n_batches).astype(np.int64), n_batches - 1)
+    t = sim._exponential_from_uniform(u[:, n_workers:], rate)
+    mins = np.full((len(u), n_batches), np.inf)
+    np.minimum.at(mins, (np.arange(len(u))[:, None], ids), t)
+    return mins.max(axis=1)
+
+
+def _transformed(v, rate):
+    finite = np.isfinite(v)
+    v[finite] = sim._exponential_from_uniform(v[finite], rate)
+    return v
+
+
+class TestReduceBeforeTransform:
+    """Kernels reduce uniforms, then one transform per trial; the result must
+    be bit-identical to transforming every uniform first."""
+
+    RATES = (1e-3, 1.0, 7.3, 1e300)
+
+    @staticmethod
+    def _chunk(seed, n_trials, draws):
+        u = sim._uniform_block(seed, 0, n_trials, draws)
+        u[::97] = 0.0  # whole rows at 0.0: every transform takes the tiny clamp
+        u[1::89, ::3] = 0.0
+        return u
+
+    @pytest.mark.parametrize(
+        "counts", [(10,) * 5, (5,) * 10, (2,) * 25, (3, 2, 1)],
+        ids=["balanced-50-5", "balanced-50-10", "balanced-50-25", "vector-3-2-1"],
+    )
+    def test_fixed_counts(self, counts):
+        for seed in range(2):
+            u = self._chunk(seed, 2000, sum(counts))
+            for rate in self.RATES:
+                got = _transformed(sim._run_fixed_counts(u, counts), rate)
+                assert np.array_equal(got, _ref_fixed_counts(u, counts, rate))
+
+    @pytest.mark.parametrize(
+        "layout", [cyclic_layout(50, 5), cyclic_layout(50, 10), cyclic_layout(50, 25),
+                   replicated_nonoverlap_layout(16, 4)],
+        ids=["cyclic-50-5", "cyclic-50-10", "cyclic-50-25", "replicated-16-4"],
+    )
+    def test_groups(self, layout):
+        layout, structure = layout
+        columns = [sorted(g) for g in structure.groups]
+        for seed in range(2):
+            u = self._chunk(seed, 2000, layout.n_workers)
+            for rate in self.RATES:
+                got = _transformed(sim._run_groups(u, columns), rate)
+                assert np.array_equal(got, _ref_groups(u, columns, rate))
+
+    def test_random_cc(self):
+        for seed in range(2):
+            u = self._chunk(seed, 2000, 24)
+            for rate in self.RATES:
+                got = _transformed(sim._run_random_cc(u, 3), rate)
+                want = _ref_random_cc(u, 3, rate)
+                assert np.isinf(want).any() and np.isfinite(want).any()
+                assert np.array_equal(got, want)
 
 
 class TestMonteCarloAccuracy:
