@@ -4,7 +4,6 @@ service times."""
 
 from .model import (
     AssignmentVector,
-    BatchingKind,
     BatchLayout,
     BatchlatError,
     CompletionEstimate,
@@ -17,7 +16,6 @@ from .model import (
     ServiceSample,
     SystemParams,
     UncoveredBatchError,
-    validate_params,
 )
 from .analytics import (
     ExactProbability,
@@ -55,13 +53,16 @@ from .sim import (
     monte_carlo,
     sample_service_times,
 )
-from .cli import SweepSpec, main, run_sweep
+
+# The command line exports nothing here, but it is loaded with the package
+# because perfbench/selftest.py reads ``batchlat.cli`` right after a bare
+# ``import batchlat``.
+from . import cli
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AssignmentVector",
-    "BatchingKind",
     "BatchLayout",
     "BatchlatError",
     "CompletionEstimate",
@@ -76,7 +77,6 @@ __all__ = [
     "RecoveryStructure",
     "ServiceSample",
     "SimConfig",
-    "SweepSpec",
     "SystemParams",
     "UncoveredBatchError",
     "balanced_assignment",
@@ -95,18 +95,15 @@ __all__ = [
     "harmonic",
     "incomplete_subset_counts",
     "is_balanced_minimal",
-    "main",
     "majorizes",
     "monte_carlo",
     "random_cc_assignment",
     "rearranged",
     "replicated_nonoverlap_layout",
-    "run_sweep",
     "sample_service_times",
     "shared_pair_layout",
     "stirling2",
     "stirling2_alternating",
-    "validate_params",
     "validate_policy",
     "__version__",
 ]

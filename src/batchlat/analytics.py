@@ -91,10 +91,6 @@ class ExactProbability:
         object.__setattr__(self, "denominator", frac.denominator)
         object.__setattr__(self, "float_value", frac.numerator / frac.denominator)
 
-    @classmethod
-    def from_fraction(cls, frac: Fraction) -> "ExactProbability":
-        return cls(frac.numerator, frac.denominator)
-
     @property
     def fraction(self) -> Fraction:
         return Fraction(self.numerator, self.denominator)

@@ -6,8 +6,8 @@ Subcommands: ``coverage`` (exact and empirical batch-coverage tables),
 (rate grids written to CSV/JSON for plotting), and ``compare-fig4`` (the
 fixed six-worker comparison of the three overlapping-batching policies).
 
-Exit codes: 0 success; 2 usage or domain errors; 3 complexity-guard or
-no-coverage errors; 4 I/O errors.
+Exit codes: 0 success; 2 usage or domain errors; 3 complexity-guard,
+no-coverage or out-of-memory errors; 4 I/O errors.
 
 Sweep configs are flat JSON objects whose keys are exactly the SweepSpec
 field names; explicit command-line flags override config values. The
@@ -89,6 +89,21 @@ _SWEEP_COLUMNS = ("policy", "N", "B", "rate", "mean", "ci_low", "ci_high", "exac
 def _fmt(x: float) -> str:
     """Format a float with 9 significant digits, locale-independent."""
     return format(float(x), ".9g")
+
+
+def _require_ci_samples(samples: int) -> None:
+    if samples < _MIN_SAMPLES_FOR_CI:
+        raise DomainError(
+            f"--samples must be at least {_MIN_SAMPLES_FOR_CI} when confidence "
+            "intervals are reported"
+        )
+
+
+def _print_report(lines: list[tuple[str, str]]) -> None:
+    """Print ``key: value`` lines with the values aligned in one column."""
+    width = max(len(key) for key, _ in lines) + 1
+    for key, value in lines:
+        print(f"{key + ':':<{width}} {value}")
 
 
 def _exact_or_none(plan: Plan, rate: float) -> float | None:
@@ -453,20 +468,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         lines.append(
             ("majorized_by_balanced", "yes" if analytics.majorizes(balanced, counts) else "no")
         )
-    width = max(len(key) for key, _ in lines) + 1
-    for key, value in lines:
-        print(f"{key + ':':<{width}} {value}")
+    _print_report(lines)
     return EXIT_OK
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     spec = _policy_from_args(args)
     n, b = _infer_shape(spec, args)
-    if args.samples < _MIN_SAMPLES_FOR_CI:
-        raise DomainError(
-            f"--samples must be at least {_MIN_SAMPLES_FOR_CI} when confidence "
-            "intervals are reported"
-        )
+    _require_ci_samples(args.samples)
     system = spec.kind.system(n, b, args.rate)
     cfg = SimConfig(
         n_samples=args.samples, seed=args.seed, rate=args.rate, policy=spec, system=system
@@ -488,9 +497,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if exact is not None:
         lines.append(("exact", _fmt(exact)))
         lines.append(("within_ci", "yes" if estimate.contains(exact) else "no"))
-    width = max(len(key) for key, _ in lines) + 1
-    for key, value in lines:
-        print(f"{key + ':':<{width}} {value}")
+    _print_report(lines)
     return EXIT_OK
 
 
@@ -526,11 +533,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_compare_policies(args: argparse.Namespace) -> int:
     """The fixed N = S = 6, B = 3 three-way comparison of overlapping policies."""
-    if args.samples < _MIN_SAMPLES_FOR_CI:
-        raise DomainError(
-            f"--samples must be at least {_MIN_SAMPLES_FOR_CI} when confidence "
-            "intervals are reported"
-        )
+    _require_ci_samples(args.samples)
     system = SystemParams(6, 6, 3, args.rate)
     cfgs = {
         label: SimConfig(
@@ -692,7 +695,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ComplexityGuardError, NoCoverageError, UncoveredBatchError) as exc:
+    except (ComplexityGuardError, NoCoverageError, UncoveredBatchError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except OSError as exc:

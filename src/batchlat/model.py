@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from enum import Enum
 
 
 class BatchlatError(Exception):
@@ -49,15 +48,6 @@ class NoCoverageError(BatchlatError):
     """Every simulated trial was uncovered, so no completion time exists."""
 
 
-class BatchingKind(str, Enum):
-    """How batches relate to each other on the block set."""
-
-    NON_OVERLAPPING = "non-overlapping"
-    OVERLAPPING = "overlapping"
-    #: Validate only the requirements shared by both batching kinds.
-    ANY = "any"
-
-
 def _require_positive_int(value: object, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise DomainError(f"{name} must be an integer, got {value!r}")
@@ -85,8 +75,9 @@ def _require_seed(value: object, name: str = "seed") -> int:
 class SystemParams:
     """System shape: N workers, S data blocks, B batches, per-worker rate.
 
-    Positivity is enforced at construction; divisibility requirements depend
-    on the batching kind and are checked by :func:`validate_params`.
+    Positivity is enforced at construction. Divisibility depends on the
+    policy, so ``policies.resolve`` checks it: B | S always, and S = N for
+    the overlapping kinds.
     """
 
     n_workers: int
@@ -102,45 +93,13 @@ class SystemParams:
 
     @property
     def batch_size(self) -> int:
-        """Blocks per batch (meaningful once validate_params passed)."""
+        """Blocks per batch (meaningful once B | S, which ``resolve`` checks)."""
         return self.n_blocks // self.n_batches
 
     @property
     def replication(self) -> int:
         """Workers per batch under uniform assignment, N/B."""
         return self.n_workers // self.n_batches
-
-
-def validate_params(params: SystemParams, kind: BatchingKind | str) -> None:
-    """Check the divisibility/shape invariants for the given batching kind.
-
-    Both kinds require B | S (integral batch size). Overlapping batching
-    additionally requires S = N (one batch per worker) and B | N (uniform
-    replication factor N/B). ``BatchingKind.ANY`` checks only the shared
-    requirements.
-
-    Raises NonPositiveError, NonDivisibleError, or DomainError.
-    """
-    kind = BatchingKind(kind)
-    for name in ("n_workers", "n_blocks", "n_batches"):
-        _require_positive_int(getattr(params, name), name)
-    if not math.isfinite(params.rate) or params.rate <= 0:
-        raise NonPositiveError(f"rate must be positive and finite, got {params.rate}")
-    if params.n_blocks % params.n_batches != 0:
-        raise NonDivisibleError(
-            f"n_batches={params.n_batches} must divide n_blocks={params.n_blocks}"
-        )
-    if kind is BatchingKind.OVERLAPPING:
-        if params.n_blocks != params.n_workers:
-            raise DomainError(
-                "overlapping batching requires n_blocks == n_workers, got "
-                f"S={params.n_blocks}, N={params.n_workers}"
-            )
-        if params.n_workers % params.n_batches != 0:
-            raise NonDivisibleError(
-                f"n_batches={params.n_batches} must divide n_workers={params.n_workers} "
-                "for overlapping batching"
-            )
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ import numpy as np
 from . import analytics
 from .model import (
     AssignmentVector,
-    BatchingKind,
     BatchLayout,
     ComplexityGuardError,
     DomainError,
@@ -33,7 +32,6 @@ from .model import (
     RecoveryStructure,
     SystemParams,
     _require_positive_int,
-    validate_params,
 )
 
 __all__ = [
@@ -53,6 +51,14 @@ __all__ = [
 #: Refuse to materialize replicated-layout recovery structures beyond this
 #: many groups; the assignment-vector form covers those cases compactly.
 MAX_REPLICATED_GROUPS = 4096
+
+
+def _require_batch_size(params: SystemParams) -> None:
+    """B | S: every batch holds a whole number of blocks."""
+    if params.n_blocks % params.n_batches != 0:
+        raise NonDivisibleError(
+            f"n_batches={params.n_batches} must divide n_blocks={params.n_blocks}"
+        )
 
 
 class PolicyKind(str, Enum):
@@ -167,8 +173,7 @@ def cyclic_layout(n_workers: int, n_batches: int) -> tuple[BatchLayout, Recovery
     sets {r, r + N/B, r + 2N/B, ...}; each group's windows tile the block
     set exactly.
     """
-    params = SystemParams(n_workers, n_workers, n_batches)
-    validate_params(params, BatchingKind.OVERLAPPING)
+    _require_batch_size(SystemParams(n_workers, n_workers, n_batches))
     size = n_workers // n_batches
     batches = tuple(
         frozenset((w + j) % n_workers for j in range(size)) for w in range(n_workers)
@@ -217,8 +222,7 @@ def replicated_nonoverlap_layout(
     Materializing the groups is refused beyond MAX_REPLICATED_GROUPS; use
     the assignment-vector form for larger systems.
     """
-    params = SystemParams(n_workers, n_workers, n_batches)
-    validate_params(params, BatchingKind.OVERLAPPING)
+    _require_batch_size(SystemParams(n_workers, n_workers, n_batches))
     replication = n_workers // n_batches
     size = n_workers // n_batches
     batches = tuple(
@@ -261,23 +265,27 @@ def resolve(spec: PolicySpec, params: SystemParams) -> Plan:
     """Check that a policy is usable with the given system parameters and
     return the Plan it means there.
 
-    Raises DomainError (or a subclass) when shapes do not line up, for
-    example a vector of the wrong length or an overlapping policy on a
-    system with S != N.
+    Raises NonDivisibleError unless B | S, DomainError unless S = N for
+    cyclic and grouped-overlap, and DomainError (or a subclass) for other
+    shapes that do not line up, such as a vector of the wrong length.
     """
     if not isinstance(spec, PolicySpec):
         raise DomainError(f"expected a PolicySpec, got {spec!r}")
     if not isinstance(params, SystemParams):
         raise DomainError(f"expected SystemParams, got {params!r}")
     kind, n, b = spec.kind, params.n_workers, params.n_batches
+    _require_batch_size(params)
+    if kind in (PolicyKind.CYCLIC, PolicyKind.GROUPED_OVERLAP) and params.n_blocks != n:
+        raise DomainError(
+            "overlapping batching requires n_blocks == n_workers, got "
+            f"S={params.n_blocks}, N={n}"
+        )
     if kind is PolicyKind.BALANCED:
-        validate_params(params, BatchingKind.NON_OVERLAPPING)
         return Plan(
             counts=balanced_assignment(n, b).counts,  # raises unless B | N
             exact=lambda rate: analytics.expected_time_balanced(n, b, rate),
         )
     if kind is PolicyKind.EXPLICIT_VECTOR:
-        validate_params(params, BatchingKind.NON_OVERLAPPING)
         vector = spec.vector
         if len(vector) != b:
             raise DomainError(
@@ -290,22 +298,18 @@ def resolve(spec: PolicySpec, params: SystemParams) -> Plan:
             exact=lambda rate: analytics.expected_time_assignment(vector, rate),
         )
     if kind is PolicyKind.RANDOM_CC:
-        validate_params(params, BatchingKind.NON_OVERLAPPING)
         return Plan()
     if kind is PolicyKind.CYCLIC:
-        validate_params(params, BatchingKind.OVERLAPPING)
         return Plan(
             groups=lambda: cyclic_layout(n, b)[1].groups,
             exact=lambda rate: analytics.expected_time_cyclic(n, b, rate),
         )
     if kind is PolicyKind.GROUPED_OVERLAP:
-        validate_params(params, BatchingKind.OVERLAPPING)
         if kind.fixed_shape != (n, b):
             raise DomainError(
                 "the grouped-overlap policy is a fixed six-worker, three-batch instance"
             )
     else:  # explicit-structure
-        validate_params(params, BatchingKind.ANY)
         for g in spec.groups:
             if max(g) >= n:
                 raise DomainError(f"group {sorted(g)} references a worker >= {n}")

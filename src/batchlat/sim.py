@@ -10,8 +10,11 @@ service draws), padded up to whole counter blocks. Trial t always reads
 from counter offset t * ceil(d/4), so chunking, chunk size, and thread
 scheduling cannot change results: the same (seed, policy, shape, rate,
 n_samples) is bit-for-bit reproducible. The chunking lives in one generator,
-``_chunks``; each policy's kernel maps one chunk's uniforms to one uniform
-per trial.
+``_chunks``; a kernel maps one chunk's uniforms to one uniform per trial.
+There are two: ``_run_fold`` serves both deterministic rules (the max over
+batches of replica minima, and the min over recovery groups of group
+maxima, as a two-level fold over worker columns), and ``_run_random_cc``
+re-draws the assignment per trial.
 
 Service times come from the inverse CDF, ``-log1p(-u) / rate`` with u
 uniform on [0, 1), clamped to the smallest positive normal float so samples
@@ -33,6 +36,7 @@ float, are broken by worker id.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from collections.abc import Iterable, Iterator, Sequence
@@ -246,58 +250,52 @@ class SimConfig:
         object.__setattr__(self, "plan", resolve(self.policy, self.system))
 
 
-def _run_fixed_counts(u: np.ndarray, counts: tuple[int, ...]) -> np.ndarray:
-    """Per-trial max over batches of the batch's replica minimum, in uniforms.
+def _run_fold(
+    u: np.ndarray, columns: Sequence[Sequence[int]], inner: np.ufunc, outer: np.ufunc,
+    start: float,
+) -> np.ndarray:
+    """Per-trial two-level fold of u's columns, in uniforms: ``inner``
+    combines the columns of each list, and ``outer`` combines the lists'
+    results, starting from ``start``.
 
-    Batch i's c_i replicas are the next c_i columns of u. Each batch is
-    folded with elementwise minima over its columns, read as rows of the
-    worker-major view u.T, so no reduction runs along a short row axis.
-    """
-    rows = u.T
-    worst = np.zeros(len(u))  # uniforms are >= 0
-    best = np.empty(len(u))
-    pos = 0
-    for c in counts:
-        np.copyto(best, rows[pos])
-        for w in range(pos + 1, pos + c):
-            np.minimum(best, rows[w], out=best)
-        np.maximum(worst, best, out=worst)
-        pos += c
-    return worst
-
-
-def _run_groups(u: np.ndarray, columns: Sequence[Sequence[int]]) -> np.ndarray:
-    """Per-trial min over recovery groups (worker-id lists) of the group max, in uniforms.
-
-    Each group is folded with elementwise maxima over its workers' columns,
-    read as rows of the worker-major view u.T. When the groups read workers
-    more than once in all, one contiguous copy of that view makes every
-    later read sequential.
+    The columns are read as rows of the worker-major view u.T and combined
+    elementwise, so no reduction runs along a short row axis. When the lists
+    read some worker more than once in all, one contiguous copy of that view
+    makes every later read sequential.
     """
     rows = u.T
     if sum(map(len, columns)) > u.shape[1]:
         rows = np.ascontiguousarray(rows)
-    best = np.full(len(u), np.inf)
-    worst = np.empty(len(u))
+    acc = np.full(len(u), start)
+    part = np.empty(len(u))
     for cols in columns:
-        np.copyto(worst, rows[cols[0]])
+        np.copyto(part, rows[cols[0]])
         for w in cols[1:]:
-            np.maximum(worst, rows[w], out=worst)
-        np.minimum(best, worst, out=best)
-    return best
+            inner(part, rows[w], out=part)
+        outer(acc, part, out=acc)
+    return acc
+
+
+def _batch_slots(u: np.ndarray, n_batches: int) -> np.ndarray:
+    """Flat (trial, batch) index into an (m, B) table of each uniform of u,
+    where a uniform picks batch floor(u * B) of its row's trial."""
+    m = u.shape[0]
+    # floor(u * B), cast into one fresh array; u < 1, so the clip only
+    # guards the rounding edge of the multiply
+    idx = np.multiply(u, n_batches, out=np.empty(u.shape, np.int64), casting="unsafe")
+    np.minimum(idx, n_batches - 1, out=idx)
+    idx += np.arange(0, m * n_batches, n_batches, dtype=np.int64)[:, None]
+    return idx
 
 
 def _run_random_cc(u: np.ndarray, n_batches: int) -> np.ndarray:
     """Per-trial completion under a fresh draw, in uniforms: the first N
     uniforms of a row pick each worker's batch, the last N are its service
     uniforms. A trial whose draw misses a batch comes out ``inf``."""
-    m, n_workers = u.shape[0], u.shape[1] // 2
-    # flat index of (trial, batch) into mins, built in place
-    idx = (u[:, :n_workers] * n_batches).astype(np.int64)
-    np.minimum(idx, n_batches - 1, out=idx)
-    idx += np.arange(0, m * n_batches, n_batches, dtype=np.int64)[:, None]
-    mins = np.full((m, n_batches), np.inf)
-    np.minimum.at(mins.reshape(-1), idx.ravel(), u[:, n_workers:].ravel())
+    n_workers = u.shape[1] // 2
+    mins = np.full((u.shape[0], n_batches), np.inf)
+    slots = _batch_slots(u[:, :n_workers], n_batches)
+    np.minimum.at(mins.reshape(-1), slots.ravel(), u[:, n_workers:].ravel())
     return mins.max(axis=1)
 
 
@@ -318,10 +316,18 @@ def monte_carlo(cfg: SimConfig) -> CompletionEstimate:
             raise NoCoverageError(
                 "assignment leaves some batch with no worker; no trial can complete"
             )
-        kernel = functools.partial(_run_fixed_counts, counts=plan.counts)
+        ends = itertools.accumulate(plan.counts)
+        runs = [range(end - c, end) for c, end in zip(plan.counts, ends)]
+        # max over batches of the replica minimum; uniforms are >= 0
+        kernel = functools.partial(
+            _run_fold, columns=runs, inner=np.minimum, outer=np.maximum, start=0.0
+        )
     elif plan.groups is not None:
-        columns = [sorted(g) for g in plan.groups()]
-        kernel = functools.partial(_run_groups, columns=columns)
+        # min over recovery groups of the group maximum
+        kernel = functools.partial(
+            _run_fold, columns=[sorted(g) for g in plan.groups()],
+            inner=np.maximum, outer=np.minimum, start=np.inf,
+        )
     else:
         draws *= 2  # N batch draws, then N service draws
         kernel = functools.partial(_run_random_cc, n_batches=cfg.system.n_batches)
@@ -361,10 +367,11 @@ def coverage_empirical(n_batches: int, n_workers: int, n_samples: int, seed: int
     _require_positive_int(n_workers, "n_workers")
     _require_positive_int(n_samples, "n_samples")
     _require_seed(seed)
+    if n_batches > n_workers:
+        return 0.0  # N draws hit at most N batches
     hits = 0
     for _, u in _chunks(seed, n_samples, n_workers):
-        ids = np.minimum((u * n_batches).astype(np.int64), n_batches - 1)
-        ids.sort(axis=1)
-        distinct = (np.diff(ids, axis=1) != 0).sum(axis=1) + 1
-        hits += int((distinct == n_batches).sum())
+        hit = np.zeros((len(u), n_batches), dtype=bool)
+        hit.reshape(-1)[_batch_slots(u, n_batches)] = True
+        hits += int(hit.all(axis=1).sum())
     return hits / n_samples

@@ -291,13 +291,21 @@ class TestSimulateCommand:
 
     def test_validates_the_system_once(self, monkeypatch):
         calls = []
-        validate_params = policies.validate_params
+        resolve = policies.resolve
 
         def counting(*args):
             calls.append(args)
-            return validate_params(*args)
+            return resolve(*args)
 
-        monkeypatch.setattr(policies, "validate_params", counting)
+        bound = [
+            module
+            for name, module in list(sys.modules.items())
+            if (name == "batchlat" or name.startswith("batchlat."))
+            and getattr(module, "resolve", None) is resolve
+        ]
+        assert policies in bound and len(bound) > 1
+        for module in bound:
+            monkeypatch.setattr(module, "resolve", counting)
         assert main([
             "simulate", "--policy", "balanced", "-N", "6", "-B", "3", "--samples", "1000",
         ]) == EXIT_OK
@@ -450,6 +458,18 @@ class TestExitCodes:
         # analyze and simulate refuse a zero-count vector with one exit code
         assert main(["analyze", "--policy", "explicit-vector", "--vector", "3,0,3"]) == EXIT_GUARD
         assert "error:" in capsys.readouterr().err
+
+    def test_out_of_memory(self, monkeypatch, capsys):
+        message = "Unable to allocate 7.28 TiB for an array with shape (1000000000000,)"
+
+        def no_memory(cfg):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "monte_carlo", no_memory)
+        assert main([
+            "simulate", "--policy", "balanced", "-N", "6", "-B", "3", "--samples", "1e12",
+        ]) == EXIT_GUARD
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_io_error(self, tmp_path, capsys):
         missing = tmp_path / "no" / "such" / "dir" / "out.csv"

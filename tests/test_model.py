@@ -7,7 +7,6 @@ import pytest
 
 from batchlat.model import (
     AssignmentVector,
-    BatchingKind,
     BatchLayout,
     CompletionEstimate,
     DomainError,
@@ -16,9 +15,8 @@ from batchlat.model import (
     RecoveryStructure,
     ServiceSample,
     SystemParams,
-    validate_params,
 )
-from batchlat.policies import cyclic_layout
+from batchlat.policies import PolicyKind, PolicySpec, cyclic_layout, resolve
 
 
 class TestSystemParams:
@@ -54,31 +52,35 @@ class TestSystemParams:
 
 
 class TestValidateParams:
+    """System shape checks, which ``resolve`` makes for each policy kind."""
+
     def test_overlapping_ok(self):
-        validate_params(SystemParams(6, 6, 3), BatchingKind.OVERLAPPING)
+        resolve(PolicySpec(PolicyKind.CYCLIC), SystemParams(6, 6, 3))
 
     def test_overlapping_nondivisible(self):
         with pytest.raises(NonDivisibleError):
-            validate_params(SystemParams(6, 6, 4), BatchingKind.OVERLAPPING)
+            resolve(PolicySpec(PolicyKind.CYCLIC), SystemParams(6, 6, 4))
 
     def test_any_kind_ok(self):
-        validate_params(SystemParams(50, 50, 25), BatchingKind.ANY)
-        validate_params(SystemParams(50, 50, 25), "any")
+        spec = PolicySpec(PolicyKind.EXPLICIT_STRUCTURE, groups=(frozenset(range(50)),))
+        resolve(spec, SystemParams(50, 50, 25))
 
     def test_batch_size_must_divide(self):
         with pytest.raises(NonDivisibleError):
-            validate_params(SystemParams(10, 9, 2), BatchingKind.NON_OVERLAPPING)
+            resolve(PolicySpec(PolicyKind.BALANCED), SystemParams(10, 9, 2))
 
     def test_overlapping_requires_equal_blocks_and_workers(self):
         with pytest.raises(DomainError):
-            validate_params(SystemParams(8, 4, 2), BatchingKind.OVERLAPPING)
+            resolve(PolicySpec(PolicyKind.CYCLIC), SystemParams(8, 4, 2))
 
     def test_non_overlapping_allows_unequal_blocks_and_workers(self):
-        validate_params(SystemParams(8, 4, 2), BatchingKind.NON_OVERLAPPING)
+        resolve(PolicySpec(PolicyKind.BALANCED), SystemParams(8, 4, 2))
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            validate_params(SystemParams(6, 6, 3), "sideways")
+    def test_divisibility_checked_before_block_count(self):
+        with pytest.raises(NonDivisibleError, match=r"^n_batches=3 must divide n_blocks=4$"):
+            resolve(PolicySpec(PolicyKind.CYCLIC), SystemParams(6, 4, 3))
+        with pytest.raises(DomainError, match=r"requires n_blocks == n_workers, got S=4, N=8$"):
+            resolve(PolicySpec(PolicyKind.GROUPED_OVERLAP), SystemParams(8, 4, 2))
 
 
 class TestAssignmentVector:

@@ -228,10 +228,22 @@ class TestMonteCarloDeterminism:
 
         def run(n):
             return np.concatenate(
-                [sim._run_groups(u, columns) for _, u in sim._chunks(7, n, 6)]
+                [_min_of_max(u, columns) for _, u in sim._chunks(7, n, 6)]
             )
 
         assert np.array_equal(run(100), run(1000)[:100])
+
+
+def _max_of_min(u, counts):
+    """The fold kernel on runs of consecutive columns, as monte_carlo calls it."""
+    ends = itertools.accumulate(counts)
+    runs = [range(end - c, end) for c, end in zip(counts, ends)]
+    return sim._run_fold(u, runs, np.minimum, np.maximum, 0.0)
+
+
+def _min_of_max(u, columns):
+    """The fold kernel on recovery groups, as monte_carlo calls it."""
+    return sim._run_fold(u, columns, np.maximum, np.minimum, np.inf)
 
 
 # Transform-first reference kernels: every uniform becomes a service time
@@ -289,7 +301,7 @@ class TestReduceBeforeTransform:
         for seed in range(2):
             u = self._chunk(seed, 2000, sum(counts))
             for rate in self.RATES:
-                got = _transformed(sim._run_fixed_counts(u, counts), rate)
+                got = _transformed(_max_of_min(u, counts), rate)
                 assert np.array_equal(got, _ref_fixed_counts(u, counts, rate))
 
     @pytest.mark.parametrize(
@@ -303,7 +315,7 @@ class TestReduceBeforeTransform:
         for seed in range(2):
             u = self._chunk(seed, 2000, layout.n_workers)
             for rate in self.RATES:
-                got = _transformed(sim._run_groups(u, columns), rate)
+                got = _transformed(_min_of_max(u, columns), rate)
                 assert np.array_equal(got, _ref_groups(u, columns, rate))
 
     def test_random_cc(self):
@@ -475,3 +487,19 @@ class TestCoverageEmpirical:
 
     def test_impossible_coverage(self):
         assert coverage_empirical(4, 3, 1000, seed=0) == 0.0
+
+    @pytest.mark.parametrize("n_batches,n_workers", [
+        (1, 6), (3, 6), (6, 6), (7, 6), (10, 20), (20, 20), (1, 1), (2, 1),
+    ])
+    def test_matches_sort_and_diff_count(self, monkeypatch, n_batches, n_workers):
+        # Reference: sort each row's batch ids and count the distinct ones.
+        def hits(u):
+            ids = np.minimum((u * n_batches).astype(np.int64), n_batches - 1)
+            ids.sort(axis=1)
+            distinct = (np.diff(ids, axis=1) != 0).sum(axis=1) + 1
+            return int((distinct == n_batches).sum())
+
+        monkeypatch.setattr(sim, "_TRIALS_PER_CHUNK", 4096)
+        n, seed = 10_000, 3
+        want = sum(hits(u) for _, u in sim._chunks(seed, n, n_workers))
+        assert coverage_empirical(n_batches, n_workers, n, seed) == want / n
