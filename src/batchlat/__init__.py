@@ -13,7 +13,6 @@ from .model import (
     NonDivisibleError,
     NonPositiveError,
     RecoveryStructure,
-    ServiceSample,
     SystemParams,
     UncoveredBatchError,
 )
@@ -45,13 +44,9 @@ from .policies import (
 )
 from .sim import (
     SimConfig,
-    completion_time_exact_cover,
-    completion_time_groups,
-    completion_time_nonoverlapping,
     coverage_empirical,
     derive_seed,
     monte_carlo,
-    sample_service_times,
 )
 
 # The command line exports nothing here, but it is loaded with the package
@@ -75,14 +70,10 @@ __all__ = [
     "PolicyKind",
     "PolicySpec",
     "RecoveryStructure",
-    "ServiceSample",
     "SimConfig",
     "SystemParams",
     "UncoveredBatchError",
     "balanced_assignment",
-    "completion_time_exact_cover",
-    "completion_time_groups",
-    "completion_time_nonoverlapping",
     "coverage_empirical",
     "coverage_probability",
     "coverage_probability_exact_n",
@@ -100,7 +91,6 @@ __all__ = [
     "random_cc_assignment",
     "rearranged",
     "replicated_nonoverlap_layout",
-    "sample_service_times",
     "shared_pair_layout",
     "stirling2",
     "stirling2_alternating",

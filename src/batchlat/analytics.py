@@ -37,7 +37,7 @@ from .model import (
 
 __all__ = [
     "ExactProbability",
-    "MAX_INCLUSION_EXCLUSION_BATCHES",
+    "MAX_BATCH_WORKER_PRODUCT",
     "MAX_STRUCTURE_WORKERS",
     "harmonic",
     "stirling2",
@@ -58,8 +58,10 @@ __all__ = [
     "is_balanced_minimal",
 ]
 
-#: Refuse inclusion-exclusion over more than this many batches (2^B subsets).
-MAX_INCLUSION_EXCLUSION_BATCHES = 25
+#: Refuse the assignment-vector and coverage closed forms when B * N exceeds
+#: this: each makes up to B * N big-integer steps, which at the limit take
+#: about a second on a 2-vCPU Xeon under CPython 3.11.
+MAX_BATCH_WORKER_PRODUCT = 10**7
 
 #: Refuse subset enumeration over more than this many workers (2^N subsets).
 MAX_STRUCTURE_WORKERS = 24
@@ -97,6 +99,14 @@ class ExactProbability:
 
     def __float__(self) -> float:
         return self.float_value
+
+
+def _require_batch_worker_product(n_batches: int, n_workers: int, route: str) -> None:
+    if n_batches * n_workers > MAX_BATCH_WORKER_PRODUCT:
+        raise ComplexityGuardError(
+            f"{route} over B={n_batches} batches and N={n_workers} workers exceeds the "
+            f"B*N <= {MAX_BATCH_WORKER_PRODUCT} guard; estimate by Monte Carlo instead"
+        )
 
 
 def harmonic(n: int) -> Fraction:
@@ -141,6 +151,11 @@ def stirling2(n: int, k: int) -> int:
     return row[k]
 
 
+def _surjections(n: int, k: int) -> int:
+    """Maps from an n-set onto a k-set: sum_i (-1)^(k-i) C(k,i) i^n."""
+    return sum((-1) ** (k - i) * math.comb(k, i) * i**n for i in range(k + 1))
+
+
 def stirling2_alternating(n: int, k: int) -> int:
     """S(n, k) by the surjection count: (1/k!) * sum_i (-1)^(k-i) C(k,i) i^n.
 
@@ -154,8 +169,7 @@ def stirling2_alternating(n: int, k: int) -> int:
             raise DomainError(f"{name} must be non-negative, got {v}")
     if k > n:
         return 0
-    total = sum((-1) ** (k - i) * math.comb(k, i) * i**n for i in range(k + 1))
-    value, rem = divmod(total, math.factorial(k))
+    value, rem = divmod(_surjections(n, k), math.factorial(k))
     if rem:
         raise ArithmeticError(f"alternating sum for S({n},{k}) is not divisible by {k}!")
     return value
@@ -165,28 +179,31 @@ def coverage_probability(n_batches: int, n_workers: int) -> ExactProbability:
     """Probability that N uniform with-replacement batch draws hit all B batches.
 
     Exactly B! * S(N, B) / B^N: the number of surjections from workers onto
-    batches over the number of assignment outcomes. Returns exact zero when
-    B > N (too few draws to cover).
+    batches, counted by the alternating sum, over the number of assignment
+    outcomes. Returns exact zero when B > N (too few draws to cover), and
+    raises ComplexityGuardError when B * N exceeds MAX_BATCH_WORKER_PRODUCT.
     """
     _require_positive_int(n_batches, "n_batches")
     _require_positive_int(n_workers, "n_workers")
     if n_batches > n_workers:
         return ExactProbability(0, 1)
-    num = math.factorial(n_batches) * stirling2(n_workers, n_batches)
-    return ExactProbability(num, n_batches**n_workers)
+    _require_batch_worker_product(n_batches, n_workers, "the surjection sum")
+    return ExactProbability(_surjections(n_workers, n_batches), n_batches**n_workers)
 
 
 def coverage_probability_exact_n(n_batches: int, n_workers: int) -> ExactProbability:
     """Probability that the N-th draw is the one completing coverage of B batches.
 
-    Exactly B! * S(N-1, B-1) / B^N. Summing over N = B..M telescopes to
-    coverage_probability(B, M).
+    Exactly B! * S(N-1, B-1) / B^N, that is B times the surjections of N-1
+    draws onto B-1 batches over B^N. Summing over N = B..M telescopes to
+    coverage_probability(B, M). Guarded like coverage_probability.
     """
     _require_positive_int(n_batches, "n_batches")
     _require_positive_int(n_workers, "n_workers")
     if n_batches > n_workers:
         return ExactProbability(0, 1)
-    num = math.factorial(n_batches) * stirling2(n_workers - 1, n_batches - 1)
+    _require_batch_worker_product(n_batches, n_workers, "the surjection sum")
+    num = n_batches * _surjections(n_workers - 1, n_batches - 1)
     return ExactProbability(num, n_batches**n_workers)
 
 
@@ -216,24 +233,24 @@ def _survival_polynomial(counts: Sequence[int]) -> list[int]:
 
     Coefficient w aggregates the signed count of batch subsets whose replica
     counts sum to w, which is exactly how equal-denominator terms group in
-    the inclusion-exclusion sum for E[max of batch minima].
+    the inclusion-exclusion sum for E[max of batch minima]. Each factor
+    updates only the degrees reached so far, and the factors go in
+    ascending order of c_i, so the large ones update few coefficients: at
+    most about B * N / 2 updates in all, reached when the counts are equal.
     """
-    total = sum(counts)
-    poly = [0] * (total + 1)
+    poly = [0] * (sum(counts) + 1)
     poly[0] = 1
-    for c in counts:
-        for w in range(total, c - 1, -1):
+    degree = 0
+    for c in sorted(counts):
+        degree += c
+        for w in range(degree, c - 1, -1):
             poly[w] -= poly[w - c]
     return poly
 
 
 def _checked_counts(vector: AssignmentVector | Sequence[int]) -> tuple[int, ...]:
     counts = _as_counts(vector)
-    if len(counts) > MAX_INCLUSION_EXCLUSION_BATCHES:
-        raise ComplexityGuardError(
-            f"inclusion-exclusion over {len(counts)} batches exceeds the "
-            f"B <= {MAX_INCLUSION_EXCLUSION_BATCHES} guard; estimate by Monte Carlo instead"
-        )
+    _require_batch_worker_product(len(counts), sum(counts), "inclusion-exclusion")
     if any(c == 0 for c in counts):
         raise UncoveredBatchError(
             "assignment leaves some batch with no worker, so the job cannot complete"
@@ -249,42 +266,33 @@ def expected_time_assignment_rational(vector: AssignmentVector | Sequence[int]) 
     aggregated through the product expansion of prod_i (1 - x^c_i).
     """
     poly = _survival_polynomial(_checked_counts(vector))
-    total = Fraction(0)
+    # Sum over the common denominator lcm(1..w), reducing once at the end:
+    # adding Fractions would take a big-integer gcd at every term.
+    num, den = 0, 1
     for w, coef in enumerate(poly):
         if w and coef:
-            total -= Fraction(coef, w)
-    return total
+            g = math.gcd(den, w)
+            num = num * (w // g) - coef * (den // g)
+            den *= w // g
+    return Fraction(num, den)
 
 
 def expected_time_assignment(
     vector: AssignmentVector | Sequence[int],
     rate: float = 1.0,
     *,
-    exact: bool = False,
+    exact: bool = True,
 ) -> float:
     """Expected completion time of a non-overlapping assignment vector.
 
     Batch i with c_i replicas recovers at the min of c_i exponentials; the
-    job is the max over batches. With ``exact=True`` the alternating sum is
-    carried out in rational arithmetic; the default float path compensates
-    the summation (Kahan) because the terms alternate in sign.
+    job is the max over batches. The alternating sum is carried out in
+    rational arithmetic and rounded once, so the float is correctly rounded
+    at rate 1. ``exact`` is accepted and ignored: there is no other route.
+    Raises ComplexityGuardError when B * N exceeds MAX_BATCH_WORKER_PRODUCT.
     """
     rate = _require_positive_real(rate, "rate")
-    if exact:
-        return float(expected_time_assignment_rational(vector)) / rate
-    poly = _survival_polynomial(_checked_counts(vector))
-    # Signed subset counts stay below 2^25 here, so each term is exact in
-    # float; only the running sum needs compensation.
-    total = 0.0
-    comp = 0.0
-    for w, coef in enumerate(poly):
-        if w == 0 or coef == 0:
-            continue
-        y = (-coef / w) - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total / rate
+    return float(expected_time_assignment_rational(vector)) / rate
 
 
 def expected_time_cyclic_rational(n_workers: int, n_batches: int) -> Fraction:

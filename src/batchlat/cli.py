@@ -27,6 +27,7 @@ import sys
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
+from decimal import Decimal, InvalidOperation
 
 import numpy as np
 
@@ -82,6 +83,7 @@ DEFAULT_SEED = 12345
 DEFAULT_RATES: tuple[float, ...] = tuple(float(r) for r in np.logspace(-1.0, 1.0, 20))
 
 _MIN_SAMPLES_FOR_CI = 1000
+_MAX_COUNT = 2**53
 
 _SWEEP_COLUMNS = ("policy", "N", "B", "rate", "mean", "ci_low", "ci_high", "exact", "n_samples", "seed")
 
@@ -301,10 +303,17 @@ def _positive_float(text: str) -> float:
 
 
 def _count(text: str) -> int:
-    """Sample counts; accepts scientific notation like 1e6."""
-    value = float(text)
-    if not value.is_integer() or value < 1:
-        raise DomainError(f"expected a positive whole number, got {text!r}")
+    """Sample counts from 1 to 2^53; accepts scientific notation like 1e6.
+
+    Parsed as a Decimal, which is exact where a float would round 2^53 + 1
+    down to 2^53 and let 1e20 through to the array allocation.
+    """
+    try:
+        value = Decimal(text)
+    except InvalidOperation:
+        value = Decimal("NaN")
+    if not (value.is_finite() and 1 <= value <= _MAX_COUNT and value == int(value)):
+        raise DomainError(f"expected a whole number from 1 to 2^53, got {text!r}")
     return int(value)
 
 

@@ -280,26 +280,6 @@ class RecoveryStructure:
 
 
 @dataclass(frozen=True)
-class ServiceSample:
-    """One realization of the N worker service times."""
-
-    times: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        times = tuple(float(t) for t in self.times)
-        if len(times) == 0:
-            raise DomainError("service sample must be non-empty")
-        for t in times:
-            if not math.isfinite(t) or t <= 0:
-                raise DomainError(f"service times must be positive and finite, got {t}")
-        object.__setattr__(self, "times", times)
-
-    @property
-    def n_workers(self) -> int:
-        return len(self.times)
-
-
-@dataclass(frozen=True)
 class CompletionEstimate:
     """Monte Carlo summary of job completion time.
 

@@ -29,8 +29,7 @@ Aggregation happens over fully materialized result arrays in trial order,
 so the estimate does not depend on how trials were chunked. A random-cc
 trial whose draw misses a batch has completion time ``inf`` (the max over a
 batch minimum that is never filled) and is never transformed; the finite
-entries are the covered trials. Ties in finish order, which can occur in
-float, are broken by worker id.
+entries are the covered trials.
 """
 
 from __future__ import annotations
@@ -39,24 +38,15 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
 from .model import (
-    AssignmentVector,
-    BatchLayout,
     CompletionEstimate,
-    ComplexityGuardError,
-    DomainError,
     NoCoverageError,
-    RecoveryStructure,
-    ServiceSample,
     SystemParams,
-    UncoveredBatchError,
-    _as_counts,
-    _as_groups,
     _require_positive_int,
     _require_positive_real,
     _require_seed,
@@ -65,18 +55,10 @@ from .policies import Plan, PolicySpec, resolve
 
 __all__ = [
     "SimConfig",
-    "MAX_EXACT_COVER_BLOCKS",
     "derive_seed",
-    "sample_service_times",
-    "completion_time_nonoverlapping",
-    "completion_time_groups",
-    "completion_time_exact_cover",
     "monte_carlo",
     "coverage_empirical",
 ]
-
-#: Refuse exact-cover completion checks beyond this many blocks (bitmask DP).
-MAX_EXACT_COVER_BLOCKS = 30
 
 _Z95 = 1.959963984540054  # two-sided 95% standard normal quantile
 _TINY = float(np.finfo(np.float64).tiny)
@@ -118,112 +100,6 @@ def _exponential_from_uniform(u: np.ndarray, rate: float) -> np.ndarray:
     # u == 0.0 maps to 0.0; clamp so service times stay strictly positive.
     np.maximum(out, _TINY, out=out)
     return out
-
-
-def sample_service_times(n_workers: int, rate: float, rng: Generator) -> ServiceSample:
-    """Draw N i.i.d. exponential service times at the given rate from ``rng``."""
-    _require_positive_int(n_workers, "n_workers")
-    rate = _require_positive_real(rate, "rate")
-    times = _exponential_from_uniform(rng.random(n_workers), rate)
-    return ServiceSample(tuple(float(t) for t in times))
-
-
-def completion_time_nonoverlapping(
-    vector: AssignmentVector | Sequence[int], sample: ServiceSample
-) -> float:
-    """Completion time of one service realization under a replica-count vector.
-
-    The sample is split into consecutive runs, run i holding the c_i
-    replicas of batch i; the result is the max over batches of each run's
-    min. Raises UncoveredBatchError when some count is zero.
-    """
-    counts = _as_counts(vector)
-    if sum(counts) != sample.n_workers:
-        raise DomainError(
-            f"vector assigns {sum(counts)} workers but the sample has {sample.n_workers}"
-        )
-    if not all(counts):
-        raise UncoveredBatchError(
-            "assignment leaves some batch with no worker, so the job cannot complete"
-        )
-    times = sample.times
-    worst = 0.0
-    pos = 0
-    for c in counts:
-        worst = max(worst, min(times[pos : pos + c]))
-        pos += c
-    return worst
-
-
-def completion_time_groups(
-    structure: RecoveryStructure | Iterable[Iterable[int]], sample: ServiceSample
-) -> float:
-    """Completion time under a recovery structure: min over groups of the group max."""
-    groups = _as_groups(structure)
-    for g in groups:
-        if max(g) >= sample.n_workers:
-            raise DomainError(f"group {sorted(g)} references a worker >= {sample.n_workers}")
-    return min(max(sample.times[w] for w in g) for g in groups)
-
-
-def _exact_cover_exists(batch_masks: Sequence[int], full: int) -> bool:
-    """Whether some pairwise-disjoint selection of the masks covers ``full``."""
-    distinct = set(batch_masks)
-    containing: dict[int, list[int]] = {}
-    for m in distinct:
-        bits = m
-        while bits:
-            low = bits & -bits
-            containing.setdefault(low.bit_length() - 1, []).append(m)
-            bits ^= low
-    memo: dict[int, bool] = {}
-
-    def cover(remaining: int) -> bool:
-        if remaining == 0:
-            return True
-        hit = memo.get(remaining)
-        if hit is not None:
-            return hit
-        block = (remaining & -remaining).bit_length() - 1
-        ok = any(
-            (m & ~remaining) == 0 and cover(remaining & ~m)
-            for m in containing.get(block, ())
-        )
-        memo[remaining] = ok
-        return ok
-
-    return cover(full)
-
-
-def completion_time_exact_cover(layout: BatchLayout, sample: ServiceSample) -> float:
-    """Earliest finish at which the finished batches admit an exact cover.
-
-    Workers are replayed in finish order (ties broken by worker id); after
-    each finish the set of available batches is tested for a pairwise
-    disjoint selection covering every block, by memoized bitmask search.
-    This generalizes both the vector and the recovery-structure semantics.
-    Raises UncoveredBatchError when no exact cover exists even with all
-    workers finished, and ComplexityGuardError for more than
-    MAX_EXACT_COVER_BLOCKS blocks.
-    """
-    if layout.n_blocks > MAX_EXACT_COVER_BLOCKS:
-        raise ComplexityGuardError(
-            f"exact-cover search over {layout.n_blocks} blocks exceeds the "
-            f"S <= {MAX_EXACT_COVER_BLOCKS} guard; estimate by Monte Carlo instead"
-        )
-    if sample.n_workers != layout.n_workers:
-        raise DomainError(
-            f"layout has {layout.n_workers} workers but the sample has {sample.n_workers}"
-        )
-    full = (1 << layout.n_blocks) - 1
-    masks = [sum(1 << b for b in batch) for batch in layout.batches]
-    order = sorted(range(layout.n_workers), key=lambda w: (sample.times[w], w))
-    finished: list[int] = []
-    for w in order:
-        finished.append(masks[w])
-        if _exact_cover_exists(finished, full):
-            return sample.times[w]
-    raise UncoveredBatchError("no exact cover of the blocks exists in this layout")
 
 
 @dataclass(frozen=True)
@@ -373,5 +249,9 @@ def coverage_empirical(n_batches: int, n_workers: int, n_samples: int, seed: int
     for _, u in _chunks(seed, n_samples, n_workers):
         hit = np.zeros((len(u), n_batches), dtype=bool)
         hit.reshape(-1)[_batch_slots(u, n_batches)] = True
-        hits += int(hit.all(axis=1).sum())
+        # fold the batch columns; all() along the short row axis is slower
+        covered = hit[:, 0].copy()
+        for column in hit.T[1:]:
+            covered &= column
+        hits += int(covered.sum())
     return hits / n_samples

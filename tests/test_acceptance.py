@@ -27,6 +27,7 @@ from batchlat.analytics import (
     expected_time_structure_rational,
     majorizes,
     rearranged,
+    stirling2,
     stirling2_alternating,
 )
 from batchlat.cli import SweepSpec, main, run_sweep
@@ -169,6 +170,9 @@ def test_ac4_coverage_probability_all_routes(capsys):
                     math.factorial(b) * stirling2_alternating(n, b), b**n
                 )
                 assert direct == alternating, (b, n)
+                # the Stirling recurrence shares no code with the surjection sum
+                recurrence = Fraction(math.factorial(b) * stirling2(n, b), b**n)
+                assert direct == recurrence, (b, n)
                 partial = sum(
                     (
                         coverage_probability_exact_n(b, m).fraction

@@ -12,8 +12,9 @@ from fractions import Fraction
 import pytest
 from scipy import integrate
 
+from batchlat import analytics
 from batchlat.analytics import (
-    MAX_INCLUSION_EXCLUSION_BATCHES,
+    MAX_BATCH_WORKER_PRODUCT,
     MAX_STRUCTURE_WORKERS,
     ExactProbability,
     coverage_probability,
@@ -80,6 +81,21 @@ def _survival_nonoverlap(counts, t: float) -> float:
     for c in counts:
         cdf *= 1.0 - math.exp(-c * t)
     return 1.0 - cdf
+
+
+def _proportional_vectors(total: int, parts: int):
+    """Balanced, ramp, two-level and geometric replica counts summing to
+    total: parts proportional to weights, the remainder on the last part."""
+    shapes = [
+        [1.0] * parts,
+        [i + 1.0 for i in range(parts)],
+        [1.0] * (parts // 2) + [3.0] * (parts - parts // 2),
+        [1.2**i for i in range(parts)],
+    ]
+    for weights in shapes:
+        counts = [max(1, int(total * w / sum(weights))) for w in weights]
+        counts[-1] += total - sum(counts)
+        yield tuple(counts)
 
 
 def _compositions(total: int, parts: int):
@@ -217,6 +233,23 @@ class TestCoverage:
         with pytest.raises(DomainError):
             coverage_probability_exact_n(3, 0)
 
+    def test_size_guard(self, monkeypatch):
+        routes = (coverage_probability, coverage_probability_exact_n)
+        # 11 * 909091 is one above the limit
+        assert 11 * 909091 == MAX_BATCH_WORKER_PRODUCT + 1
+        for route in routes:
+            with pytest.raises(ComplexityGuardError):
+                route(11, 909091)
+        # B > N needs no sum, so it is never refused
+        assert coverage_probability(2 * 10**7, 10**7).fraction == 0
+        # the guard is inclusive
+        monkeypatch.setattr(analytics, "MAX_BATCH_WORKER_PRODUCT", 3 * 6)
+        assert coverage_probability(3, 6).fraction == Fraction(20, 27)
+        assert coverage_probability_exact_n(3, 6).fraction == Fraction(90, 729)
+        for route in routes:
+            with pytest.raises(ComplexityGuardError):
+                route(3, 7)
+
 
 class TestBalanced:
     def test_known_value(self):
@@ -292,18 +325,35 @@ class TestAssignment:
         with pytest.raises(UncoveredBatchError):
             expected_time_assignment_rational((2, 0, 4))
 
+    def test_float_is_correctly_rounded(self):
+        # one rounding of the exact rational, also where the alternating sum
+        # cancels hardest: 25 batches, and 4000 workers over 25 batches
+        for v in [(2,) * 25, *_proportional_vectors(4000, 25)]:
+            assert expected_time_assignment(v) == float(expected_time_assignment_rational(v)), v
+
+    def test_wide_vector_is_exact(self):
+        assert expected_time_assignment_rational((2,) * 500) == expected_time_balanced_rational(
+            1000, 500
+        )
+
     def test_size_guard(self):
-        over = MAX_INCLUSION_EXCLUSION_BATCHES + 1
+        # 11 batches over 909091 workers: B * N is one above the limit
+        over = (82645,) * 10 + (82641,)
+        assert len(over) * sum(over) == MAX_BATCH_WORKER_PRODUCT + 1
         with pytest.raises(ComplexityGuardError):
-            expected_time_assignment_rational((1,) * over)
+            expected_time_assignment_rational(over)
+        with pytest.raises(ComplexityGuardError):
+            expected_time_assignment(over)
         # guard fires before the coverage check
         with pytest.raises(ComplexityGuardError):
-            expected_time_assignment_rational((0,) * over)
+            expected_time_assignment_rational((0, MAX_BATCH_WORKER_PRODUCT))
 
-    def test_at_guard_limit_still_works(self):
-        counts = (2,) * MAX_INCLUSION_EXCLUSION_BATCHES
-        got = expected_time_assignment_rational(counts)
-        assert got == expected_time_balanced_rational(2 * 25, 25)
+    def test_at_guard_limit_still_works(self, monkeypatch):
+        monkeypatch.setattr(analytics, "MAX_BATCH_WORKER_PRODUCT", 5 * 10)
+        got = expected_time_assignment_rational((2,) * 5)
+        assert got == expected_time_balanced_rational(10, 5)
+        with pytest.raises(ComplexityGuardError):
+            expected_time_assignment_rational((2,) * 4 + (3,))
 
 
 class TestCyclic:

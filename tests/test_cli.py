@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from batchlat import cli, policies
-from batchlat.analytics import coverage_probability, expected_time_balanced
+from batchlat.analytics import coverage_probability, expected_time_balanced, harmonic
 from batchlat.cli import (
     DEFAULT_RATES,
     DEFAULT_SEED,
@@ -31,6 +31,9 @@ from batchlat.cli import (
 from batchlat.model import DomainError
 
 SWEEP_HEADER = "policy,N,B,rate,mean,ci_low,ci_high,exact,n_samples,seed"
+
+# 11 batches over 909091 workers: B * N is one above the exact routes' limit
+OVER_LIMIT_VECTOR = ",".join(["82645"] * 10 + ["82641"])
 
 
 def _read_csv(path):
@@ -272,6 +275,16 @@ class TestSimulateCommand:
         assert _field(stdout, "n_batches") == "3"
         assert float(_field(stdout, "exact")) == pytest.approx(73 / 60, rel=1e-8)
 
+    def test_wide_vector_reports_exact(self, capsys):
+        vector = ",".join(["1"] * 26)
+        assert main([
+            "simulate", "--policy", "explicit-vector", "--vector", vector,
+            "--samples", "1000", "--seed", "0",
+        ]) == EXIT_OK
+        assert float(_field(capsys.readouterr().out, "exact")) == pytest.approx(
+            float(harmonic(26)), rel=1e-8
+        )
+
     def test_random_cc_reports_coverage(self, capsys):
         code = main([
             "simulate", "--policy", "random-cc", "-N", "6", "-B", "3",
@@ -339,6 +352,10 @@ class TestCoverageCommand:
         assert capsys.readouterr().out == first
         row = first.strip().splitlines()[1].split()
         assert abs(float(row[2]) - float(row[3])) < 0.02
+
+    def test_guard_error(self, capsys):
+        assert main(["coverage", "-B", "11", "-N", "909091"]) == EXIT_GUARD
+        assert "B*N" in capsys.readouterr().err
 
     def test_out_file(self, tmp_path, capsys):
         out = tmp_path / "cov.csv"
@@ -441,9 +458,8 @@ class TestExitCodes:
         assert "error:" in capsys.readouterr().err
 
     def test_guard_error(self, capsys):
-        vector = ",".join(["1"] * 26)
         assert main([
-            "analyze", "--policy", "explicit-vector", "--vector", vector,
+            "analyze", "--policy", "explicit-vector", "--vector", OVER_LIMIT_VECTOR,
         ]) == EXIT_GUARD
         assert "error:" in capsys.readouterr().err
 
@@ -470,6 +486,21 @@ class TestExitCodes:
             "simulate", "--policy", "balanced", "-N", "6", "-B", "3", "--samples", "1e12",
         ]) == EXIT_GUARD
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_sample_count_above_2_53_refused(self, monkeypatch, capsys):
+        def stop(cfg):
+            raise MemoryError(f"n_samples={cfg.n_samples}")
+
+        monkeypatch.setattr(cli, "monte_carlo", stop)
+        argv = ["simulate", "--policy", "balanced", "-N", "6", "-B", "3", "--samples"]
+        for text in ("1e20", "9007199254740993", "9007199254740992.5"):
+            with pytest.raises(SystemExit) as err:
+                main([*argv, text])
+            assert err.value.code == EXIT_USAGE, text
+        # 2^53 itself reaches the run unrounded
+        capsys.readouterr()
+        assert main([*argv, "9007199254740992"]) == EXIT_GUARD
+        assert capsys.readouterr().err == f"error: n_samples={2**53}\n"
 
     def test_io_error(self, tmp_path, capsys):
         missing = tmp_path / "no" / "such" / "dir" / "out.csv"

@@ -13,7 +13,6 @@ from batchlat.model import (
     NonDivisibleError,
     NonPositiveError,
     RecoveryStructure,
-    ServiceSample,
     SystemParams,
 )
 from batchlat.policies import PolicyKind, PolicySpec, cyclic_layout, resolve
@@ -173,18 +172,6 @@ class TestRecoveryStructure:
         layout, _ = cyclic_layout(6, 3)
         with pytest.raises(DomainError):
             RecoveryStructure(({0, 2, 9},)).validate_partitions(layout)
-
-
-class TestServiceSample:
-    def test_times_normalized(self):
-        s = ServiceSample((1, 2.5, 0.25))
-        assert s.times == (1.0, 2.5, 0.25)
-        assert s.n_workers == 3
-
-    @pytest.mark.parametrize("times", [(), (0.0, 1.0), (-1.0,), (math.inf, 1.0), (math.nan,)])
-    def test_invalid_times_rejected(self, times):
-        with pytest.raises(DomainError):
-            ServiceSample(times)
 
 
 class TestCompletionEstimate:

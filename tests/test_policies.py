@@ -1,5 +1,6 @@
 """Policy constructors: literal layouts, invariants, and payload validation."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from batchlat.analytics import (
 )
 from batchlat.model import (
     AssignmentVector,
+    BatchLayout,
     ComplexityGuardError,
     DomainError,
     NonDivisibleError,
@@ -154,6 +156,46 @@ class TestReplicatedLayout:
     def test_nondivisible_rejected(self):
         with pytest.raises(NonDivisibleError):
             replicated_nonoverlap_layout(10, 4)
+
+
+def _exact_covers(layout: BatchLayout) -> set[frozenset[int]]:
+    """Every set of workers whose batches partition the block set, by brute
+    force over all worker subsets."""
+    blocks = frozenset(range(layout.n_blocks))
+    covers = set()
+    for r in range(1, layout.n_workers + 1):
+        for workers in itertools.combinations(range(layout.n_workers), r):
+            batches = [layout.batches[w] for w in workers]
+            # sizes summing to S and a union of all S blocks: a partition
+            if sum(map(len, batches)) == len(blocks) and frozenset().union(*batches) == blocks:
+                covers.add(frozenset(workers))
+    return covers
+
+
+class TestExactCovers:
+    """A constructor's recovery groups are exactly its layout's exact covers:
+    the job ends once every block is held by disjoint finished batches."""
+
+    @pytest.mark.parametrize(
+        "n, b", [(6, 1), (6, 2), (6, 3), (6, 6), (8, 4), (12, 3), (12, 4), (12, 6)]
+    )
+    def test_cyclic(self, n, b):
+        layout, structure = cyclic_layout(n, b)
+        assert _exact_covers(layout) == set(structure.groups)
+
+    def test_shared_pair(self):
+        layout, structure = shared_pair_layout()
+        assert _exact_covers(layout) == set(structure.groups)
+
+    @pytest.mark.parametrize("n, b", [(6, 3), (8, 4), (9, 3), (12, 4)])
+    def test_replicated(self, n, b):
+        layout, structure = replicated_nonoverlap_layout(n, b)
+        assert _exact_covers(layout) == set(structure.groups)
+
+    def test_layout_without_cover(self):
+        # two disjoint triangles: odd vertex sets admit no disjoint pair cover
+        batches = ({0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3})
+        assert _exact_covers(BatchLayout(batches, n_blocks=6)) == set()
 
 
 class TestRandomCcAssignment:

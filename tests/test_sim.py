@@ -22,30 +22,21 @@ from batchlat.analytics import (
     exact_expected_time_structure,
 )
 from batchlat.model import (
-    BatchLayout,
-    ComplexityGuardError,
     DomainError,
     NoCoverageError,
-    ServiceSample,
     SystemParams,
-    UncoveredBatchError,
 )
 from batchlat.policies import (
     PolicyKind,
     PolicySpec,
     cyclic_layout,
     replicated_nonoverlap_layout,
-    shared_pair_layout,
 )
 from batchlat.sim import (
     SimConfig,
-    completion_time_exact_cover,
-    completion_time_groups,
-    completion_time_nonoverlapping,
     coverage_empirical,
     derive_seed,
     monte_carlo,
-    sample_service_times,
 )
 
 
@@ -77,119 +68,58 @@ class TestDeriveSeed:
 
 
 class TestSampleServiceTimes:
-    def test_shape_and_positivity(self):
-        s = sample_service_times(50, 2.0, np.random.default_rng(3))
-        assert s.n_workers == 50
-        assert all(t > 0 for t in s.times)
+    """The inverse-CDF transform that turns uniforms into service times."""
 
-    def test_deterministic_under_seed(self):
-        a = sample_service_times(10, 1.0, np.random.default_rng(9))
-        b = sample_service_times(10, 1.0, np.random.default_rng(9))
-        assert a == b
+    def test_shape_and_positivity(self):
+        u = np.random.default_rng(3).random(50)
+        u[0] = 0.0
+        t = sim._exponential_from_uniform(u, 2.0)
+        assert t.shape == (50,)
+        assert (t > 0).all()
 
     def test_mean_tracks_rate(self):
-        rng = np.random.default_rng(21)
         n = 100_000
-        s = sample_service_times(n, 2.0, rng)
-        mean = sum(s.times) / n
+        t = sim._exponential_from_uniform(np.random.default_rng(21).random(n), 2.0)
         # Exp(2) has mean and sd 1/2
-        assert abs(mean - 0.5) < 4 * 0.5 / math.sqrt(n)
+        assert abs(t.mean() - 0.5) < 4 * 0.5 / math.sqrt(n)
 
     def test_min_of_six(self):
-        rng = np.random.default_rng(5)
         draws = 20_000
-        total = 0.0
-        for _ in range(draws):
-            total += min(sample_service_times(6, 1.0, rng).times)
+        u = np.random.default_rng(5).random((draws, 6))
+        mins = sim._exponential_from_uniform(u, 1.0).min(axis=1)
         # min of 6 unit exponentials is Exp(6)
-        assert abs(total / draws - 1 / 6) < 4 * (1 / 6) / math.sqrt(draws)
+        assert abs(mins.mean() - 1 / 6) < 4 * (1 / 6) / math.sqrt(draws)
 
 
 class TestCompletionNonoverlapping:
+    """Max over batches of the replica minimum, through the fold kernel."""
+
     def test_hand_example(self):
-        sample = ServiceSample((5.0, 1.0, 4.0, 2.0, 3.0, 6.0))
-        assert completion_time_nonoverlapping((2, 2, 2), sample) == 3.0
+        u = np.array([[5.0, 1.0, 4.0, 2.0, 3.0, 6.0]])
+        assert _max_of_min(u, (2, 2, 2)).tolist() == [3.0]
 
     def test_uneven_runs(self):
-        sample = ServiceSample((5.0, 1.0, 4.0, 2.0, 3.0, 6.0))
+        u = np.array([[5.0, 1.0, 4.0, 2.0, 3.0, 6.0]])
         # runs: (5,1,4) -> 1, (2,) -> 2, (3,6) -> 3
-        assert completion_time_nonoverlapping((3, 1, 2), sample) == 3.0
-
-    def test_zero_count_rejected(self):
-        sample = ServiceSample(tuple(float(i + 1) for i in range(6)))
-        with pytest.raises(UncoveredBatchError):
-            completion_time_nonoverlapping((2, 0, 4), sample)
+        assert _max_of_min(u, (3, 1, 2)).tolist() == [3.0]
 
     def test_length_mismatch_rejected(self):
+        # a vector whose total is not N is refused before any trial runs
+        spec = PolicySpec(PolicyKind.EXPLICIT_VECTOR, vector=(3, 2, 2))
         with pytest.raises(DomainError):
-            completion_time_nonoverlapping((2, 2), ServiceSample((1.0, 2.0, 3.0)))
+            SimConfig(n_samples=100, seed=1, rate=1.0, policy=spec, system=SystemParams(6, 6, 3))
 
 
 class TestCompletionGroups:
+    """Min over recovery groups of the group maximum, through the fold kernel."""
+
     def test_hand_example(self):
-        sample = ServiceSample((0.5, 0.3, 0.7, 0.9))
-        assert completion_time_groups([{0, 2}, {1, 3}], sample) == 0.7
+        u = np.array([[0.5, 0.3, 0.7, 0.9]])
+        assert _min_of_max(u, [[0, 2], [1, 3]]).tolist() == [0.7]
 
     def test_single_group_is_max(self):
-        sample = ServiceSample((0.5, 0.3, 0.7))
-        assert completion_time_groups([{0, 1, 2}], sample) == 0.7
-
-    def test_worker_out_of_range(self):
-        with pytest.raises(DomainError):
-            completion_time_groups([{0, 5}], ServiceSample((1.0, 2.0)))
-
-
-class TestCompletionExactCover:
-    def test_matches_groups_on_cyclic(self):
-        layout, structure = cyclic_layout(6, 3)
-        rng = np.random.default_rng(17)
-        for _ in range(300):
-            sample = sample_service_times(6, 1.0, rng)
-            assert completion_time_exact_cover(layout, sample) == completion_time_groups(
-                structure, sample
-            )
-
-    def test_matches_vector_on_replicated(self):
-        layout, _ = replicated_nonoverlap_layout(6, 3)
-        rng = np.random.default_rng(23)
-        for _ in range(300):
-            sample = sample_service_times(6, 1.0, rng)
-            assert completion_time_exact_cover(layout, sample) == completion_time_nonoverlapping(
-                (2, 2, 2), sample
-            )
-
-    def test_matches_groups_on_shared_pair(self):
-        layout, structure = shared_pair_layout()
-        rng = np.random.default_rng(29)
-        for _ in range(300):
-            sample = sample_service_times(6, 1.0, rng)
-            assert completion_time_exact_cover(layout, sample) == completion_time_groups(
-                structure, sample
-            )
-
-    def test_no_cover_raises(self):
-        # two disjoint triangles: odd vertex sets admit no disjoint pair cover
-        batches = ({0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3})
-        layout = BatchLayout(batches, n_blocks=6)
-        sample = ServiceSample(tuple(float(i + 1) for i in range(6)))
-        with pytest.raises(UncoveredBatchError):
-            completion_time_exact_cover(layout, sample)
-
-    def test_tie_break_deterministic(self):
-        layout, _ = replicated_nonoverlap_layout(6, 3)
-        sample = ServiceSample((1.0, 1.0, 2.0, 2.0, 3.0, 3.0))
-        assert completion_time_exact_cover(layout, sample) == 3.0
-
-    def test_block_guard(self):
-        layout, _ = cyclic_layout(32, 16)
-        sample = ServiceSample(tuple(float(i + 1) for i in range(32)))
-        with pytest.raises(ComplexityGuardError):
-            completion_time_exact_cover(layout, sample)
-
-    def test_sample_size_mismatch(self):
-        layout, _ = cyclic_layout(6, 3)
-        with pytest.raises(DomainError):
-            completion_time_exact_cover(layout, ServiceSample((1.0, 2.0)))
+        u = np.array([[0.5, 0.3, 0.7]])
+        assert _min_of_max(u, [[0, 1, 2]]).tolist() == [0.7]
 
 
 class TestMonteCarloDeterminism:
