@@ -29,8 +29,9 @@ from .model import (
     NonDivisibleError,
     RecoveryStructure,
     UncoveredBatchError,
-    _as_counts,
-    _as_groups,
+    _require_counts,
+    _require_groups,
+    _require_nonneg_int,
     _require_positive_int,
     _require_positive_real,
 )
@@ -130,11 +131,8 @@ def stirling2(n: int, k: int) -> int:
     S(0, 0) = 1. Arguments with k > n yield 0; negative arguments are
     rejected.
     """
-    for v, name in ((n, "n"), (k, "k")):
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise DomainError(f"{name} must be an integer, got {v!r}")
-        if v < 0:
-            raise DomainError(f"{name} must be non-negative, got {v}")
+    _require_nonneg_int(n, "n")
+    _require_nonneg_int(k, "k")
     if k > n:
         return 0
     if n == 0:
@@ -162,11 +160,8 @@ def stirling2_alternating(n: int, k: int) -> int:
     An independent route to the same integers as :func:`stirling2`; the two
     must agree exactly.
     """
-    for v, name in ((n, "n"), (k, "k")):
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise DomainError(f"{name} must be an integer, got {v!r}")
-        if v < 0:
-            raise DomainError(f"{name} must be non-negative, got {v}")
+    _require_nonneg_int(n, "n")
+    _require_nonneg_int(k, "k")
     if k > n:
         return 0
     value, rem = divmod(_surjections(n, k), math.factorial(k))
@@ -249,7 +244,7 @@ def _survival_polynomial(counts: Sequence[int]) -> list[int]:
 
 
 def _checked_counts(vector: AssignmentVector | Sequence[int]) -> tuple[int, ...]:
-    counts = _as_counts(vector)
+    counts = _require_counts(vector)
     _require_batch_worker_product(len(counts), sum(counts), "inclusion-exclusion")
     if any(c == 0 for c in counts):
         raise UncoveredBatchError(
@@ -334,7 +329,7 @@ def incomplete_subset_counts(
     the finished-worker count. Enumerates all 2^N subsets with bit masks;
     guarded at N <= 24.
     """
-    groups = _as_groups(structure)
+    groups = _require_groups(structure)
     _require_positive_int(n_workers, "n_workers")
     if n_workers > MAX_STRUCTURE_WORKERS:
         raise ComplexityGuardError(
@@ -390,17 +385,9 @@ def exact_expected_time_structure(
     return float(expected_time_structure_rational(structure, n_workers)) / rate
 
 
-def _int_vector(vector: Iterable[int], name: str) -> tuple[int, ...]:
-    out = tuple(vector)
-    for v in out:
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise DomainError(f"{name} must contain integers, got {v!r}")
-    return out
-
-
 def rearranged(vector: Iterable[int]) -> tuple[int, ...]:
-    """The same multiset sorted non-increasing (stable for equal entries)."""
-    return tuple(sorted(_int_vector(vector, "vector"), reverse=True))
+    """The same multiset of non-negative counts sorted non-increasing."""
+    return tuple(sorted((_require_nonneg_int(v, "vector entry") for v in vector), reverse=True))
 
 
 def majorizes(v: Iterable[int], w: Iterable[int]) -> bool:
@@ -428,5 +415,5 @@ def is_balanced_minimal(vector: AssignmentVector | Sequence[int]) -> bool:
     """Whether the vector is the balanced one: every batch held by the same
     positive number of workers. Such a vector is majorized by every other
     vector of equal length and sum."""
-    counts = _as_counts(vector)
+    counts = _require_counts(vector)
     return counts[0] > 0 and all(c == counts[0] for c in counts)

@@ -9,8 +9,16 @@ fixed six-worker comparison of the three overlapping-batching policies).
 Exit codes: 0 success; 2 usage or domain errors; 3 complexity-guard,
 no-coverage or out-of-memory errors; 4 I/O errors.
 
+This module only turns text into values. Each flag's type parses its text
+and hands the value to the model's check for that input (the ``_require_*``
+helpers in ``batchlat.model``), so a bad value is refused at parse time, even
+for a flag the command then ignores, with the model's own message and exit
+code 2. The same checks run again where the values land (SystemParams,
+SimConfig, SweepSpec), and there they also cover sweep config files.
+
 Sweep configs are flat JSON objects whose keys are exactly the SweepSpec
-field names; explicit command-line flags override config values. The
+field names; keys left out take the field defaults, and explicit
+command-line flags override config values. The
 ``BATCHLAT_THREADS`` environment variable (1 to 256) sets how many grid
 points run concurrently; every grid point owns a seed derived from (seed,
 point index), so the thread count never changes numerical results.
@@ -24,10 +32,11 @@ import itertools
 import json
 import os
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
+from functools import partial
 
 import numpy as np
 
@@ -38,9 +47,13 @@ from .model import (
     NoCoverageError,
     SystemParams,
     UncoveredBatchError,
+    _require_counts,
+    _require_groups,
+    _require_list,
+    _require_nonneg_int,
     _require_positive_int,
     _require_positive_real,
-    _require_seed,
+    _require_sample_count,
 )
 from .policies import (
     Plan,
@@ -83,7 +96,6 @@ DEFAULT_SEED = 12345
 DEFAULT_RATES: tuple[float, ...] = tuple(float(r) for r in np.logspace(-1.0, 1.0, 20))
 
 _MIN_SAMPLES_FOR_CI = 1000
-_MAX_COUNT = 2**53
 
 _SWEEP_COLUMNS = ("policy", "N", "B", "rate", "mean", "ci_low", "ci_high", "exact", "n_samples", "seed")
 
@@ -133,23 +145,13 @@ class SweepSpec:
     format: str = "csv"
 
     def __post_init__(self) -> None:
-        rates = tuple(self.rates)
-        if not rates:
-            raise DomainError("rates must be non-empty")
-        rates = tuple(_require_positive_real(r, "rate") for r in rates)
+        rates = _require_list(self.rates, "rates", _require_positive_real)
         object.__setattr__(self, "rates", rates)
-        b_values = tuple(self.b_values)
-        if not b_values:
-            raise DomainError("b_values must be non-empty")
-        for b in b_values:
-            _require_positive_int(b, "b_values entry")
+        b_values = _require_list(self.b_values, "b_values", _require_positive_int)
         object.__setattr__(self, "b_values", b_values)
         _require_positive_int(self.n_workers, "n_workers")
-        policy_names = tuple(self.policies)
-        if not policy_names:
-            raise DomainError("policies must be non-empty")
         kinds = []
-        for name in policy_names:
+        for name in _require_list(self.policies, "policies"):
             kind = PolicyKind(name)
             if kind.carries_payload:
                 raise DomainError(
@@ -157,8 +159,8 @@ class SweepSpec:
                 )
             kinds.append(kind)
         object.__setattr__(self, "policies", tuple(k.value for k in kinds))
-        _require_positive_int(self.n_samples, "n_samples")
-        _require_seed(self.seed)
+        _require_sample_count(self.n_samples, "n_samples")
+        _require_nonneg_int(self.seed, "seed")
         if not isinstance(self.output_path, str) or not self.output_path:
             raise DomainError(f"output_path must be a non-empty string, got {self.output_path!r}")
         if self.format not in ("csv", "json"):
@@ -168,34 +170,17 @@ class SweepSpec:
             for b in b_values:
                 validate_policy(PolicySpec(kind), kind.system(self.n_workers, b))
 
-    def to_dict(self) -> dict:
-        return {
-            "rates": list(self.rates),
-            "b_values": list(self.b_values),
-            "n_workers": self.n_workers,
-            "policies": list(self.policies),
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "output_path": self.output_path,
-            "format": self.format,
-        }
-
     @classmethod
-    def from_dict(cls, data: dict) -> "SweepSpec":
+    def from_dict(cls, data: dict, **overrides: object) -> "SweepSpec":
+        """The spec a config object describes, with ``overrides`` replacing its values;
+        keys it leaves out take the field defaults."""
         if not isinstance(data, dict):
             raise DomainError(f"sweep config must be an object, got {type(data).__name__}")
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:
             raise DomainError(f"unknown sweep config keys: {', '.join(unknown)}")
-        kwargs = dict(data)
-        for key in ("rates", "b_values", "policies"):
-            if key in kwargs:
-                value = kwargs[key]
-                if isinstance(value, (str, bytes)) or not isinstance(value, Sequence):
-                    raise DomainError(f"config key {key!r} must be a list")
-                kwargs[key] = tuple(value)
-        return cls(**kwargs)
+        return cls(**{**data, **overrides})
 
 
 def _thread_count() -> int:
@@ -284,92 +269,64 @@ def _write_table(path: str, fmt: str, columns: Sequence[str], rows: list[dict]) 
 # argument parsing helpers
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value <= 0:
-        raise DomainError(f"expected a positive integer, got {value}")
-    return value
-
-
-def _nonneg_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise DomainError(f"expected a non-negative integer, got {value}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    return _require_positive_real(float(text), "value")
-
-
-def _count(text: str) -> int:
-    """Sample counts from 1 to 2^53; accepts scientific notation like 1e6.
-
-    Parsed as a Decimal, which is exact where a float would round 2^53 + 1
-    down to 2^53 and let 1e20 through to the array allocation.
-    """
+def _parsed(text: str, parse: Callable[[str], object]) -> object:
+    """``parse(text)``, or the text itself when it does not parse: the model's
+    check then refuses it by type, under the input's own name."""
     try:
-        value = Decimal(text)
-    except InvalidOperation:
-        value = Decimal("NaN")
-    if not (value.is_finite() and 1 <= value <= _MAX_COUNT and value == int(value)):
-        raise DomainError(f"expected a whole number from 1 to 2^53, got {text!r}")
-    return int(value)
+        return parse(text)
+    except (ValueError, ArithmeticError):
+        return text
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    """Positive-integer list syntax: '7', '5,10,25', '1..10', '1..4,8'."""
-    out: list[int] = []
+def _whole(text: str) -> int:
+    """The integer that ``text`` spells exactly, scientific notation included (1e6).
+
+    Decimal tells 2^53 + 1 and 9007199254740992.5 from 2^53, where a float
+    would round them together. Like int() on text, it refuses more than 4300
+    digits, so '1e999999999' is refused at once instead of being built.
+    """
+    value = Decimal(text)
+    if value.is_finite() and value.adjusted() < 4300 and value == value.to_integral_value():
+        return int(value)
+    raise ValueError(text)
+
+
+def _split(text: str, parse: Callable[[str], object] = str, ranges: bool = False) -> tuple:
+    """The comma-separated entries of ``text``, blanks skipped, each read by
+    ``parse``; with ``ranges``, an entry 'lo..hi' stands for lo, lo + 1, ..., hi."""
+    out: list[object] = []
     for part in text.split(","):
         part = part.strip()
-        if not part:
-            continue
-        if ".." in part:
-            lo_text, hi_text = part.split("..", 1)
-            lo, hi = int(lo_text), int(hi_text)
+        bounds = [_parsed(t, int) for t in part.split("..")] if ranges else []
+        if len(bounds) == 2 and all(isinstance(b, int) for b in bounds):
+            lo, hi = bounds
             if lo > hi:
-                raise DomainError(f"empty range {part!r}")
+                raise argparse.ArgumentTypeError(f"empty range {part!r}")
             out.extend(range(lo, hi + 1))
-        else:
-            out.append(int(part))
-    if not out:
-        raise DomainError("expected at least one integer")
-    for v in out:
-        if v <= 0:
-            raise DomainError(f"entries must be positive, got {v}")
+        elif part:
+            out.append(_parsed(part, parse))
     return tuple(out)
 
 
-def _float_list(text: str) -> tuple[float, ...]:
-    out = tuple(float(p) for p in text.split(",") if p.strip())
-    if not out:
-        raise DomainError("expected at least one number")
-    return tuple(_require_positive_real(v, "rate") for v in out)
-
-
-def _vector_arg(text: str) -> tuple[int, ...]:
-    out = tuple(int(p) for p in text.split(",") if p.strip())
-    if not out:
-        raise DomainError("expected at least one count")
-    return out
-
-
-def _groups_arg(text: str) -> tuple[frozenset[int], ...]:
+def _groups(text: str) -> tuple[tuple, ...]:
     """Recovery groups: semicolon-separated worker lists, e.g. '0,2,4;1,3,5'."""
-    groups = []
-    for part in text.split(";"):
-        ids = tuple(int(p) for p in part.split(",") if p.strip())
-        if not ids:
-            raise DomainError("each group needs at least one worker id")
-        groups.append(frozenset(ids))
-    return tuple(groups)
+    return tuple(_split(part, int) for part in text.split(";"))
 
 
-def _policy_list(text: str) -> tuple[str, ...]:
-    out = tuple(p.strip() for p in text.split(",") if p.strip())
-    if not out:
-        raise DomainError("expected at least one policy kind")
-    return out
+def _arg(
+    parse: Callable[[str], object], require: Callable[..., object], *args: object
+) -> Callable[[str], object]:
+    """An argparse type: ``parse`` reads the text and the model's ``require``
+    check, given ``args``, judges the value. A refusal reaches the user as the
+    model's own message rather than argparse's "invalid <type> value"."""
+
+    def convert(text: str) -> object:
+        try:
+            return require(_parsed(text, parse), *args)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
 
 
 def _policy_from_args(args: argparse.Namespace) -> PolicySpec:
@@ -511,17 +468,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    merged = SweepSpec().to_dict()
+    config = {}
     if args.config is not None:
         with open(args.config) as fh:
             try:
-                loaded = json.load(fh)
-            except json.JSONDecodeError as exc:
+                config = json.load(fh)
+            except ValueError as exc:  # JSONDecodeError, or an integer of over 4300 digits
                 raise DomainError(f"invalid JSON in {args.config}: {exc}") from None
-        if not isinstance(loaded, dict):
-            raise DomainError(f"config {args.config} must hold a JSON object")
-        merged.update(loaded)
-    overrides = {
+    flags = {
         "n_workers": args.n_workers,
         "b_values": args.n_batches,
         "rates": args.rates,
@@ -531,10 +485,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "output_path": args.out,
         "format": args.format,
     }
-    for key, value in overrides.items():
-        if value is not None:
-            merged[key] = value
-    spec = SweepSpec.from_dict(merged)
+    spec = SweepSpec.from_dict(config, **{k: v for k, v in flags.items() if v is not None})
     rows = run_sweep(spec)
     print(f"wrote {len(rows)} rows to {spec.output_path} ({spec.format})")
     return EXIT_OK
@@ -591,6 +542,11 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    samples = _arg(_whole, _require_sample_count, "n_samples")
+    seed = _arg(int, _require_nonneg_int, "seed")
+    rate = _arg(float, _require_positive_real, "rate")
+    n_workers = _arg(int, _require_positive_int, "n_workers")
+    count_list = partial(_split, parse=int, ranges=True)
 
     cov = sub.add_parser(
         "coverage",
@@ -601,60 +557,59 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     cov.add_argument(
-        "-B", "--n-batches", type=_int_list, required=True, metavar="LIST",
+        "-B", "--n-batches", required=True, metavar="LIST",
+        type=_arg(count_list, _require_list, "n_batches", _require_positive_int),
         help="batch counts: '3', '5,10,25', or '1..10'",
     )
     cov.add_argument(
-        "-N", "--n-workers", type=_int_list, required=True, metavar="LIST",
+        "-N", "--n-workers", required=True, metavar="LIST",
+        type=_arg(count_list, _require_list, "n_workers", _require_positive_int),
         help="worker counts, same list syntax",
     )
     cov.add_argument("--mode", choices=("exact", "empirical", "both"), default="exact")
     cov.add_argument(
-        "--samples", type=_count, default=1_000_000,
+        "--samples", type=samples, default=1_000_000,
         help="trials per empirical entry (default 1e6)",
     )
-    cov.add_argument("--seed", type=_nonneg_int, default=DEFAULT_SEED)
+    cov.add_argument("--seed", type=seed, default=DEFAULT_SEED)
     cov.add_argument("--out", metavar="PATH", help="also write the table to PATH")
     cov.add_argument("--format", choices=("csv", "json"), default="csv")
     cov.set_defaults(func=cmd_coverage)
 
-    policy_choices = sorted(k.value for k in PolicyKind)
+    # One policy instance: the flags that analyze and simulate share.
+    instance = argparse.ArgumentParser(add_help=False)
+    instance.add_argument("--policy", required=True, choices=sorted(k.value for k in PolicyKind))
+    instance.add_argument("-N", "--n-workers", type=n_workers)
+    instance.add_argument("-B", "--n-batches", type=_arg(int, _require_positive_int, "n_batches"))
+    instance.add_argument("--rate", type=rate, default=1.0)
+    instance.add_argument(
+        "--vector", type=_arg(partial(_split, parse=int), _require_counts), metavar="C1,C2,...",
+        help="replica counts for --policy explicit-vector",
+    )
+    instance.add_argument(
+        "--groups", type=_arg(_groups, _require_groups), metavar="G1;G2;...",
+        help="recovery groups for --policy explicit-structure, e.g. '0,2,4;1,3,5'",
+    )
 
     ana = sub.add_parser(
         "analyze",
+        parents=[instance],
         help="exact expected completion time and majorization report",
         description="Exact expected completion time for one policy instance.",
-    )
-    ana.add_argument("--policy", required=True, choices=policy_choices)
-    ana.add_argument("-N", "--n-workers", type=_positive_int)
-    ana.add_argument("-B", "--n-batches", type=_positive_int)
-    ana.add_argument("--rate", type=_positive_float, default=1.0)
-    ana.add_argument(
-        "--vector", type=_vector_arg, metavar="C1,C2,...",
-        help="replica counts for --policy explicit-vector",
-    )
-    ana.add_argument(
-        "--groups", type=_groups_arg, metavar="G1;G2;...",
-        help="recovery groups for --policy explicit-structure, e.g. '0,2,4;1,3,5'",
     )
     ana.set_defaults(func=cmd_analyze)
 
     simp = sub.add_parser(
         "simulate",
+        parents=[instance],
         help="seeded Monte Carlo estimate for one configuration",
         description=(
             "Monte Carlo estimate of expected completion time, with the exact "
             "value and a CI-containment flag when an exact method applies."
         ),
     )
-    simp.add_argument("--policy", required=True, choices=policy_choices)
-    simp.add_argument("-N", "--n-workers", type=_positive_int)
-    simp.add_argument("-B", "--n-batches", type=_positive_int)
-    simp.add_argument("--rate", type=_positive_float, default=1.0)
-    simp.add_argument("--samples", type=_count, default=1_000_000)
-    simp.add_argument("--seed", type=_nonneg_int, default=DEFAULT_SEED)
-    simp.add_argument("--vector", type=_vector_arg, metavar="C1,C2,...")
-    simp.add_argument("--groups", type=_groups_arg, metavar="G1;G2;...")
+    simp.add_argument("--samples", type=samples, default=1_000_000)
+    simp.add_argument("--seed", type=seed, default=DEFAULT_SEED)
     simp.set_defaults(func=cmd_simulate)
 
     sw = sub.add_parser(
@@ -666,15 +621,21 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sw.add_argument("--config", metavar="PATH", help="JSON config; flags override its values")
-    sw.add_argument("-N", "--n-workers", type=_positive_int)
-    sw.add_argument("-B", "--n-batches", type=_int_list, metavar="LIST")
-    sw.add_argument("--rates", type=_float_list, metavar="R1,R2,...")
+    sw.add_argument("-N", "--n-workers", type=n_workers)
     sw.add_argument(
-        "--policy", type=_policy_list, metavar="P1,P2,...",
+        "-B", "--n-batches", metavar="LIST",
+        type=_arg(count_list, _require_list, "b_values", _require_positive_int),
+    )
+    sw.add_argument(
+        "--rates", metavar="R1,R2,...",
+        type=_arg(partial(_split, parse=float), _require_list, "rates", _require_positive_real),
+    )
+    sw.add_argument(
+        "--policy", type=_arg(_split, _require_list, "policies"), metavar="P1,P2,...",
         help="comma-separated policy kinds (default balanced,cyclic)",
     )
-    sw.add_argument("--samples", type=_count)
-    sw.add_argument("--seed", type=_nonneg_int)
+    sw.add_argument("--samples", type=samples)
+    sw.add_argument("--seed", type=seed)
     sw.add_argument("--out", metavar="PATH")
     sw.add_argument("--format", choices=("csv", "json"))
     sw.set_defaults(func=cmd_sweep)
@@ -688,9 +649,9 @@ def build_parser() -> argparse.ArgumentParser:
             "non-overlapping batching; the exact values are strictly ordered."
         ),
     )
-    cmp.add_argument("--rate", type=_positive_float, default=1.0)
-    cmp.add_argument("--samples", type=_count, default=1_000_000)
-    cmp.add_argument("--seed", type=_nonneg_int, default=DEFAULT_SEED)
+    cmp.add_argument("--rate", type=rate, default=1.0)
+    cmp.add_argument("--samples", type=samples, default=1_000_000)
+    cmp.add_argument("--seed", type=seed, default=DEFAULT_SEED)
     cmp.set_defaults(func=cmd_compare_policies)
 
     return parser

@@ -13,7 +13,7 @@ integers everywhere, including external formats.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
 
@@ -48,6 +48,9 @@ class NoCoverageError(BatchlatError):
     """Every simulated trial was uncovered, so no completion time exists."""
 
 
+_MAX_SAMPLES = 2**53
+
+
 def _require_positive_int(value: object, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise DomainError(f"{name} must be an integer, got {value!r}")
@@ -65,10 +68,33 @@ def _require_positive_real(value: object, name: str) -> float:
     return out
 
 
-def _require_seed(value: object, name: str = "seed") -> int:
+def _require_nonneg_int(value: object, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
         raise DomainError(f"{name} must be a non-negative integer, got {value!r}")
     return value
+
+
+def _require_sample_count(value: object, name: str) -> int:
+    """A trial count from 1 to 2^53: every count up to 2^53 is a float64
+    exactly, so fractions and means over the trials divide by the true count."""
+    _require_positive_int(value, name)
+    if value > _MAX_SAMPLES:
+        raise DomainError(f"{name} must be at most 2^53, got {value}")
+    return value
+
+
+def _require_list(
+    values: object, name: str, require_entry: Callable[[object, str], object] | None = None
+) -> tuple:
+    """``values`` as a non-empty tuple, each entry passed through ``require_entry``."""
+    if isinstance(values, (str, bytes)) or not isinstance(values, Iterable):
+        raise DomainError(f"{name} must be a list, got {values!r}")
+    out = tuple(values)
+    if not out:
+        raise DomainError(f"{name} must be non-empty")
+    if require_entry is None:
+        return out
+    return tuple(require_entry(v, name) for v in out)
 
 
 @dataclass(frozen=True)
@@ -114,14 +140,9 @@ class AssignmentVector:
     counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        counts = tuple(self.counts)
+        counts = tuple(_require_nonneg_int(c, "count") for c in self.counts)
         if len(counts) == 0:
             raise DomainError("assignment vector must have at least one batch")
-        for c in counts:
-            if isinstance(c, bool) or not isinstance(c, int):
-                raise DomainError(f"counts must be integers, got {c!r}")
-            if c < 0:
-                raise DomainError(f"counts must be non-negative, got {c}")
         object.__setattr__(self, "counts", counts)
 
     @property
@@ -237,8 +258,7 @@ class RecoveryStructure:
             if not fs:
                 raise DomainError(f"group {i} is empty")
             for w in fs:
-                if isinstance(w, bool) or not isinstance(w, int) or w < 0:
-                    raise DomainError(f"worker ids must be non-negative integers, got {w!r}")
+                _require_nonneg_int(w, "worker id")
             norm.append(fs)
         object.__setattr__(self, "groups", tuple(norm))
 
@@ -298,7 +318,7 @@ class CompletionEstimate:
 
     def __post_init__(self) -> None:
         _require_positive_int(self.n_samples, "n_samples")
-        _require_seed(self.seed)
+        _require_nonneg_int(self.seed, "seed")
         if not (self.ci95_low <= self.mean <= self.ci95_high):
             raise DomainError(
                 f"confidence interval [{self.ci95_low}, {self.ci95_high}] "
@@ -314,17 +334,17 @@ class CompletionEstimate:
         return self.ci95_low <= value <= self.ci95_high
 
 
-def _as_counts(vector: AssignmentVector | Sequence[int]) -> tuple[int, ...]:
-    """Coerce an assignment vector or plain sequence to a tuple of counts."""
+def _require_counts(vector: AssignmentVector | Sequence[int]) -> tuple[int, ...]:
+    """The counts of an assignment vector or of a plain sequence of counts."""
     if isinstance(vector, AssignmentVector):
         return vector.counts
     return AssignmentVector(tuple(vector)).counts
 
 
-def _as_groups(
+def _require_groups(
     structure: RecoveryStructure | Iterable[Iterable[int]],
 ) -> tuple[frozenset[int], ...]:
-    """Coerce a recovery structure or iterable of worker sets to groups."""
+    """The groups of a recovery structure or of an iterable of worker sets."""
     if isinstance(structure, RecoveryStructure):
         return structure.groups
     return RecoveryStructure(tuple(frozenset(g) for g in structure)).groups

@@ -31,6 +31,8 @@ from .model import (
     NonDivisibleError,
     RecoveryStructure,
     SystemParams,
+    _require_counts,
+    _require_groups,
     _require_positive_int,
 )
 
@@ -121,14 +123,13 @@ class PolicySpec:
         if kind is PolicyKind.EXPLICIT_VECTOR:
             if self.vector is None:
                 raise DomainError("explicit-vector policy requires a replica-count vector")
-            object.__setattr__(self, "vector", AssignmentVector(tuple(self.vector)).counts)
+            object.__setattr__(self, "vector", _require_counts(self.vector))
         elif self.vector is not None:
             raise DomainError(f"policy kind {kind.value!r} takes no vector payload")
         if kind is PolicyKind.EXPLICIT_STRUCTURE:
             if self.groups is None:
                 raise DomainError("explicit-structure policy requires recovery groups")
-            structure = RecoveryStructure(tuple(frozenset(g) for g in self.groups))
-            object.__setattr__(self, "groups", structure.groups)
+            object.__setattr__(self, "groups", _require_groups(self.groups))
         elif self.groups is not None:
             raise DomainError(f"policy kind {kind.value!r} takes no groups payload")
 

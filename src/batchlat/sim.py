@@ -47,9 +47,10 @@ from .model import (
     CompletionEstimate,
     NoCoverageError,
     SystemParams,
+    _require_nonneg_int,
     _require_positive_int,
     _require_positive_real,
-    _require_seed,
+    _require_sample_count,
 )
 from .policies import Plan, PolicySpec, resolve
 
@@ -71,8 +72,8 @@ def derive_seed(master_seed: int, index: int) -> int:
     Children of distinct indices are statistically independent, so grid
     points or test cases can each own a stream derived from one master seed.
     """
-    _require_seed(master_seed, "master_seed")
-    _require_seed(index, "index")
+    _require_nonneg_int(master_seed, "master_seed")
+    _require_nonneg_int(index, "index")
     return int(SeedSequence([master_seed, index]).generate_state(1, np.uint64)[0])
 
 
@@ -104,7 +105,8 @@ def _exponential_from_uniform(u: np.ndarray, rate: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One Monte Carlo run: trial count, master seed, rate, policy, system.
+    """One Monte Carlo run: trial count (1 to 2^53), master seed, rate,
+    policy, system.
 
     ``rate`` is the service rate actually used for sampling; construct
     ``system`` with the same rate to keep the record consistent. ``plan`` is
@@ -120,8 +122,8 @@ class SimConfig:
     plan: Plan = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _require_positive_int(self.n_samples, "n_samples")
-        _require_seed(self.seed)
+        _require_sample_count(self.n_samples, "n_samples")
+        _require_nonneg_int(self.seed, "seed")
         _require_positive_real(self.rate, "rate")
         object.__setattr__(self, "plan", resolve(self.policy, self.system))
 
@@ -238,11 +240,12 @@ def monte_carlo(cfg: SimConfig) -> CompletionEstimate:
 
 
 def coverage_empirical(n_batches: int, n_workers: int, n_samples: int, seed: int) -> float:
-    """Fraction of trials in which N uniform draws hit every one of B batches."""
+    """Fraction of ``n_samples`` trials (1 to 2^53) in which N uniform draws
+    hit every one of B batches."""
     _require_positive_int(n_batches, "n_batches")
     _require_positive_int(n_workers, "n_workers")
-    _require_positive_int(n_samples, "n_samples")
-    _require_seed(seed)
+    _require_sample_count(n_samples, "n_samples")
+    _require_nonneg_int(seed, "seed")
     if n_batches > n_workers:
         return 0.0  # N draws hit at most N batches
     hits = 0

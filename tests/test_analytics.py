@@ -479,6 +479,9 @@ class TestOrderingHelpers:
     def test_rearranged(self):
         assert rearranged((1, 3, 2)) == (3, 2, 1)
         assert rearranged([5]) == (5,)
+        # entries are counts: the one non-negative-integer rule applies
+        with pytest.raises(DomainError):
+            rearranged((2, -1))
 
     def test_majorizes_examples(self):
         assert majorizes((3, 2, 1), (2, 2, 2))

@@ -11,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -64,11 +65,11 @@ class TestSweepSpec:
 
     def test_round_trip(self):
         spec = SweepSpec(rates=(0.5, 2.0), b_values=(5,), policies=("balanced",))
-        assert SweepSpec.from_dict(spec.to_dict()) == spec
+        assert SweepSpec.from_dict(asdict(spec)) == spec
 
     def test_json_round_trip(self):
         spec = SweepSpec()
-        assert SweepSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
+        assert SweepSpec.from_dict(json.loads(json.dumps(asdict(spec)))) == spec
 
     def test_unknown_key_rejected(self):
         with pytest.raises(DomainError):
@@ -205,6 +206,15 @@ class TestSweepCommand:
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"rate_grid": [1.0]}))
         assert main(["sweep", "--config", str(cfg)]) == EXIT_USAGE
+
+    def test_config_sample_count_above_2_53(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        path.write_text('{"n_samples": 100000000000000000000}')
+        argv = ["sweep", "--config", str(path), "--out", str(tmp_path / "x.csv")]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: n_samples must be at most 2^53, got 100000000000000000000\n"
+        )
 
     def test_config_invalid_json(self, tmp_path):
         cfg = tmp_path / "bad.json"
@@ -501,6 +511,27 @@ class TestExitCodes:
         capsys.readouterr()
         assert main([*argv, "9007199254740992"]) == EXIT_GUARD
         assert capsys.readouterr().err == f"error: n_samples={2**53}\n"
+
+    @pytest.mark.parametrize("argv,rule", [
+        (["simulate", "--policy", "balanced", "-N", "0", "-B", "3"], "n_workers must be positive"),
+        (["simulate", "--policy", "balanced", "-N", "6", "-B", "3", "--samples", "1e20"],
+         "n_samples must be at most 2^53"),
+        (["coverage", "-B", "5..2", "-N", "6"], "empty range '5..2'"),
+        (["sweep", "--rates", "0,1"], "rates must be positive"),
+        (["coverage", "-B", "2", "-N", "6", "--mode", "exact", "--seed", "-1"],
+         "seed must be a non-negative integer"),
+        (["analyze", "--policy", "explicit-structure", "-N", "6", "--groups", "0,2,4;"],
+         "group 1 is empty"),
+        (["analyze", "--policy", "explicit-vector", "--vector", "1,x"],
+         "count must be a non-negative integer, got 'x'"),
+    ])
+    def test_rejected_flag_value_names_the_rule(self, argv, rule, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == EXIT_USAGE
+        stderr = capsys.readouterr().err
+        assert rule in stderr
+        assert "invalid _" not in stderr
 
     def test_io_error(self, tmp_path, capsys):
         missing = tmp_path / "no" / "such" / "dir" / "out.csv"

@@ -384,6 +384,21 @@ class TestEstimateEdges:
                 policy=PolicySpec(PolicyKind.BALANCED),
                 system=SystemParams(6, 6, 3),
             )
+        with pytest.raises(DomainError):
+            SimConfig(
+                n_samples=2**53 + 1,
+                seed=1,
+                rate=1.0,
+                policy=PolicySpec(PolicyKind.BALANCED),
+                system=SystemParams(6, 6, 3),
+            )
+        assert SimConfig(
+            n_samples=2**53,
+            seed=1,
+            rate=1.0,
+            policy=PolicySpec(PolicyKind.BALANCED),
+            system=SystemParams(6, 6, 3),
+        ).n_samples == 2**53
         # shape mismatch surfaces at construction, not at run time
         with pytest.raises(DomainError):
             SimConfig(
@@ -417,6 +432,20 @@ class TestCoverageEmpirical:
 
     def test_impossible_coverage(self):
         assert coverage_empirical(4, 3, 1000, seed=0) == 0.0
+
+    def test_sample_count_bounded_at_2_53(self, monkeypatch):
+        class Sampled(Exception):
+            pass
+
+        def no_sampling(*args):
+            raise Sampled
+
+        monkeypatch.setattr(sim, "_chunks", no_sampling)
+        with pytest.raises(DomainError):
+            coverage_empirical(3, 6, 2**53 + 1, 0)
+        # 2^53 itself passes the checks and reaches the sampler
+        with pytest.raises(Sampled):
+            coverage_empirical(3, 6, 2**53, 0)
 
     @pytest.mark.parametrize("n_batches,n_workers", [
         (1, 6), (3, 6), (6, 6), (7, 6), (10, 20), (20, 20), (1, 1), (2, 1),
