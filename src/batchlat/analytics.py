@@ -64,8 +64,15 @@ __all__ = [
 #: about a second on a 2-vCPU Xeon under CPython 3.11.
 MAX_BATCH_WORKER_PRODUCT = 10**7
 
-#: Refuse subset enumeration over more than this many workers (2^N subsets).
+#: Refuse subset enumeration over more than this many workers. The 2^N
+#: subsets are walked in blocks of 2^16, so memory stays O(2^16) and time is
+#: O(2^N * groups), less the groups a block skips; at the limit a cyclic
+#: layout takes about 0.01 s and 1296 groups about 0.8 s on a 2-vCPU Xeon.
 MAX_STRUCTURE_WORKERS = 24
+
+# Subsets are split into a high part, walked in Python, and this many low
+# bits, tested in one numpy block per high part.
+_LOW_BITS = 16
 
 
 @dataclass(frozen=True)
@@ -326,8 +333,14 @@ def incomplete_subset_counts(
     """a_k for k = 0..N: how many k-subsets of workers contain no complete group.
 
     These are the coefficients of the completion-time survival function in
-    the finished-worker count. Enumerates all 2^N subsets with bit masks;
-    guarded at N <= 24.
+    the finished-worker count. Each N-bit subset mask is split into its top
+    N - L bits h and its low L = min(N, 16) bits. For each h, a group whose
+    high bits are not all in h cannot complete and is skipped; the rest are
+    tested on the low bits at once over all 2^L low parts, and the histogram
+    of incomplete low parts by size, shifted by the size of h, adds into a_k;
+    high parts that admit the same groups share one histogram. Memory is
+    O(2^16) whatever the number of groups and time O(2^N * groups); guarded
+    at N <= 24.
     """
     groups = _require_groups(structure)
     _require_positive_int(n_workers, "n_workers")
@@ -336,17 +349,35 @@ def incomplete_subset_counts(
             f"subset enumeration over {n_workers} workers exceeds the "
             f"N <= {MAX_STRUCTURE_WORKERS} guard; estimate by Monte Carlo instead"
         )
-    group_masks = []
+    n_low = min(n_workers, _LOW_BITS)
+    low_mask = (1 << n_low) - 1
+    lows_by_high: dict[int, set[int]] = {}
     for g in groups:
         if max(g) >= n_workers:
             raise DomainError(f"group {sorted(g)} references a worker >= {n_workers}")
-        group_masks.append(np.uint32(sum(1 << w for w in g)))
-    masks = np.arange(1 << n_workers, dtype=np.uint32)
-    contains_group = np.zeros(masks.shape, dtype=bool)
-    for gm in group_masks:
-        contains_group |= (masks & gm) == gm
-    sizes = np.bitwise_count(masks[~contains_group])
-    counts = np.bincount(sizes, minlength=n_workers + 1)
+        mask = sum(1 << w for w in g)
+        lows_by_high.setdefault(mask >> n_low, set()).add(mask & low_mask)
+    lo = np.arange(1 << n_low, dtype=np.uint16)
+    lo_sizes = np.bitwise_count(lo)
+    contains = np.empty(lo.shape, dtype=bool)
+    hit = np.empty(lo.shape, dtype=bool)
+    masked = np.empty(lo.shape, dtype=np.uint16)
+    # The low-part histogram depends only on which group high parts lie in h,
+    # and many h share that set: at most 2^(N-L) keys of 2^(N-L) entries.
+    histograms: dict[tuple[int, ...], np.ndarray] = {}
+    counts = np.zeros(n_workers + 1, dtype=np.int64)
+    for h in range(1 << (n_workers - n_low)):
+        key = tuple(g_hi for g_hi in lows_by_high if g_hi & ~h == 0)
+        hist = histograms.get(key)
+        if hist is None:
+            contains.fill(False)
+            for g_lo in set().union(*(lows_by_high[g_hi] for g_hi in key)):
+                np.bitwise_and(lo, g_lo, out=masked)
+                np.equal(masked, g_lo, out=hit)
+                contains |= hit
+            hist = histograms[key] = np.bincount(lo_sizes[~contains], minlength=n_low + 1)
+        shift = h.bit_count()
+        counts[shift : shift + n_low + 1] += hist
     return tuple(int(c) for c in counts)
 
 
@@ -363,12 +394,9 @@ def expected_time_structure_rational(
     """
     a = incomplete_subset_counts(structure, n_workers)
     n = n_workers
-    fact_n = math.factorial(n)
-    total = Fraction(0)
-    for k in range(n):
-        if a[k]:
-            total += Fraction(a[k] * math.factorial(k) * math.factorial(n - k - 1), fact_n)
-    return total
+    # Every term shares the denominator N!, so one reduction at the end.
+    num = sum(a[k] * math.factorial(k) * math.factorial(n - k - 1) for k in range(n))
+    return Fraction(num, math.factorial(n))
 
 
 def exact_expected_time_structure(
@@ -379,7 +407,9 @@ def exact_expected_time_structure(
     """Expected completion time when the job ends as soon as some group finishes.
 
     Exact subset-enumeration oracle, independent of the closed forms for the
-    specific policies; cost 2^N, guarded at N <= 24.
+    specific policies. The enumeration is split into blocks of 2^16 low-bit
+    subsets, so memory is O(2^16); time is O(2^N * groups), with the groups
+    that cannot complete inside a block skipped. Guarded at N <= 24.
     """
     rate = _require_positive_real(rate, "rate")
     return float(expected_time_structure_rational(structure, n_workers)) / rate

@@ -291,9 +291,15 @@ def _whole(text: str) -> int:
     raise ValueError(text)
 
 
+# A list whose 'lo..hi' entries would expand it past this many entries is
+# refused before the range is built.
+_MAX_RANGE = 10**6
+
+
 def _split(text: str, parse: Callable[[str], object] = str, ranges: bool = False) -> tuple:
     """The comma-separated entries of ``text``, blanks skipped, each read by
-    ``parse``; with ``ranges``, an entry 'lo..hi' stands for lo, lo + 1, ..., hi."""
+    ``parse``; with ``ranges``, an entry 'lo..hi' stands for lo, lo + 1, ..., hi,
+    up to ``_MAX_RANGE`` entries in all."""
     out: list[object] = []
     for part in text.split(","):
         part = part.strip()
@@ -302,6 +308,11 @@ def _split(text: str, parse: Callable[[str], object] = str, ranges: bool = False
             lo, hi = bounds
             if lo > hi:
                 raise argparse.ArgumentTypeError(f"empty range {part!r}")
+            if len(out) + hi - lo + 1 > _MAX_RANGE:
+                raise argparse.ArgumentTypeError(
+                    f"range {part!r} has {hi - lo + 1} entries; "
+                    f"a list may expand to at most {_MAX_RANGE}"
+                )
             out.extend(range(lo, hi + 1))
         elif part:
             out.append(_parsed(part, parse))

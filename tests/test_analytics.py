@@ -7,8 +7,11 @@ the production code path and an in-test oracle that shares no code with it
 
 import itertools
 import math
+import random
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from scipy import integrate
 
@@ -113,6 +116,82 @@ def _product_groups(counts) -> list[frozenset]:
         offsets.append(offsets[-1] + c)
     choices = [range(offsets[i], offsets[i] + counts[i]) for i in range(len(counts))]
     return [frozenset(pick) for pick in itertools.product(*choices)]
+
+
+def _full_mask_counts(groups, n: int) -> tuple[int, ...]:
+    """a_k by testing every group against all 2^n subset masks in one array."""
+    masks = np.arange(1 << n, dtype=np.uint32)
+    contains = np.zeros(masks.shape, dtype=bool)
+    for g in groups:
+        gm = np.uint32(sum(1 << w for w in g))
+        contains |= (masks & gm) == gm
+    return tuple(int(c) for c in np.bincount(np.bitwise_count(masks[~contains]), minlength=n + 1))
+
+
+def _poly_mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _binomial_poly(n: int):
+    """Coefficients of (1+x)^n."""
+    return [math.comb(n, k) for k in range(n + 1)]
+
+
+def _cyclic_counts(n: int, b: int) -> tuple[int, ...]:
+    """a_k of G = n/b disjoint b-groups: coefficients of ((1+x)^b - x^b)^G."""
+    factor = _binomial_poly(b)[:-1]
+    poly = [1]
+    for _ in range(n // b):
+        poly = _poly_mul(poly, factor)
+    return tuple(poly + [0] * (n + 1 - len(poly)))
+
+
+def _vector_counts(counts) -> tuple[int, ...]:
+    """a_k of a replica-count vector: (1+x)^N - prod_i ((1+x)^c_i - 1)."""
+    prod = [1]
+    for c in counts:
+        prod = _poly_mul(prod, [0] + _binomial_poly(c)[1:])
+    total = _binomial_poly(sum(counts))
+    return tuple(t - p for t, p in zip(total, prod))
+
+
+def _traced_peak(call) -> int:
+    """Peak bytes traced by tracemalloc, numpy buffers included, during call()."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _relabelled_cyclic(n: int, b: int, seed: int) -> list[frozenset]:
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    return [frozenset(perm[w] for w in g) for g in cyclic_layout(n, b)[1].groups]
+
+
+# Group shapes placed against the split of subset masks into 16 low bits and
+# the rest; a shape is used only at the N where all its workers exist.
+_SPLIT_SHAPES = {
+    "low": lambda n: [{0, 1}, {1, 2, 3}, {0, 4, 5}],
+    "high": lambda n: [{n - 1, n - 2}, {n - 3}],
+    "straddle": lambda n: [{13, 14, n - 1}, {n - 2, n - 1}, {2, n - 1}],
+    "all-workers": lambda n: [set(range(n))],
+    "singletons": lambda n: [{w} for w in range(n)],
+    "idle": lambda n: [{1, 3}, {3, 5, n - 1}],
+    "mixed": lambda n: [{0, 1}, {n - 1, n - 2}, {13, 14, n - 1}, {2, 7, 11, n - 3}],
+}
+_SPLIT_CASES = [
+    (n, shape)
+    for n in (1, 15, 16, 17, 20)
+    for shape, build in _SPLIT_SHAPES.items()
+    if all(0 <= w < n for g in build(n) for w in g)
+]
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +485,33 @@ class TestStructureOracle:
     def test_subset_counts_replicated(self):
         _, structure = replicated_nonoverlap_layout(6, 3)
         assert incomplete_subset_counts(structure, 6) == (1, 6, 15, 12, 3, 0, 0)
+
+    @pytest.mark.parametrize("b", [2, 3, 4, 6, 8, 12])
+    def test_cyclic_n24_matches_generating_polynomial(self, b):
+        expected = _cyclic_counts(24, b)
+        _, structure = cyclic_layout(24, b)
+        assert incomplete_subset_counts(structure, 24) == expected
+        assert incomplete_subset_counts(_relabelled_cyclic(24, b, seed=b), 24) == expected
+
+    @pytest.mark.parametrize("n,b", [(12, 3), (16, 4), (20, 2)])
+    def test_replicated_matches_vector_polynomial(self, n, b):
+        _, structure = replicated_nonoverlap_layout(n, b)
+        expected = _vector_counts([n // b] * b)
+        assert incomplete_subset_counts(structure, n) == expected
+
+    @pytest.mark.parametrize("n,shape", _SPLIT_CASES)
+    def test_matches_full_mask_enumeration(self, n, shape):
+        groups = _SPLIT_SHAPES[shape](n)
+        assert incomplete_subset_counts(groups, n) == _full_mask_counts(groups, n)
+
+    def test_memory_bounded_on_relabelled_cyclic_n24(self):
+        groups = _relabelled_cyclic(24, 4, seed=11)
+        assert _traced_peak(lambda: incomplete_subset_counts(groups, 24)) < 16 * 2**20
+
+    def test_memory_bounded_on_many_groups(self):
+        _, structure = replicated_nonoverlap_layout(16, 4)
+        assert len(structure.groups) == 256
+        assert _traced_peak(lambda: incomplete_subset_counts(structure, 16)) < 16 * 2**20
 
     def test_counts_low_orders_are_binomial(self):
         # no group fits inside fewer workers than the smallest group size

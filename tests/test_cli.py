@@ -533,6 +533,30 @@ class TestExitCodes:
         assert rule in stderr
         assert "invalid _" not in stderr
 
+    @pytest.mark.parametrize("text,entries", [
+        ("1..2000001", 2000001),
+        ("1..600000,1..600000", 600000),  # each range alone is short enough
+    ])
+    def test_long_range_refused(self, text, entries, capsys):
+        with pytest.raises(SystemExit) as err:
+            cli.build_parser().parse_args(["coverage", "-B", text, "-N", "1"])
+        assert err.value.code == EXIT_USAGE
+        assert f"has {entries} entries; a list may expand to at most 1000000" in (
+            capsys.readouterr().err
+        )
+
+    def test_huge_range_refused_before_it_is_built(self, capsys):
+        # 10^10 entries would exhaust memory if the range were expanded first
+        with pytest.raises(SystemExit) as err:
+            cli.build_parser().parse_args(["coverage", "-B", "1..10000000000", "-N", "1"])
+        assert err.value.code == EXIT_USAGE
+        assert "range '1..10000000000'" in capsys.readouterr().err
+
+    def test_short_range_still_expands(self):
+        args = cli.build_parser().parse_args(["coverage", "-B", "1..6", "-N", "4..5"])
+        assert args.n_batches == (1, 2, 3, 4, 5, 6)
+        assert args.n_workers == (4, 5)
+
     def test_io_error(self, tmp_path, capsys):
         missing = tmp_path / "no" / "such" / "dir" / "out.csv"
         assert main([
