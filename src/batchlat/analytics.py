@@ -40,6 +40,7 @@ __all__ = [
     "ExactProbability",
     "MAX_BATCH_WORKER_PRODUCT",
     "MAX_STRUCTURE_WORKERS",
+    "MAX_SUBSET_GROUP_PRODUCT",
     "harmonic",
     "stirling2",
     "stirling2_alternating",
@@ -65,10 +66,16 @@ __all__ = [
 MAX_BATCH_WORKER_PRODUCT = 10**7
 
 #: Refuse subset enumeration over more than this many workers. The 2^N
-#: subsets are walked in blocks of 2^16, so memory stays O(2^16) and time is
-#: O(2^N * groups), less the groups a block skips; at the limit a cyclic
-#: layout takes about 0.01 s and 1296 groups about 0.8 s on a 2-vCPU Xeon.
+#: subsets are walked in blocks of 2^16, so memory stays O(2^16) whatever
+#: the number of groups; at the limit a cyclic layout takes about 0.01 s.
 MAX_STRUCTURE_WORKERS = 24
+
+#: Refuse subset enumeration when 2^N times the number of distinct groups
+#: exceeds this, since its time is O(2^N * groups), less the groups a block
+#: skips. At N = 24 that allows 1490 groups; on a 2-vCPU Xeon the 1296
+#: groups of a replicated layout take 0.8 s, and at the limit random
+#: 4-worker groups take 2.5 s and random 10-worker groups at N = 20 1.9 s.
+MAX_SUBSET_GROUP_PRODUCT = 25 * 10**9
 
 # Subsets are split into a high part, walked in Python, and this many low
 # bits, tested in one numpy block per high part.
@@ -340,7 +347,7 @@ def incomplete_subset_counts(
     of incomplete low parts by size, shifted by the size of h, adds into a_k;
     high parts that admit the same groups share one histogram. Memory is
     O(2^16) whatever the number of groups and time O(2^N * groups); guarded
-    at N <= 24.
+    at N <= 24 and at 2^N * distinct groups <= MAX_SUBSET_GROUP_PRODUCT.
     """
     groups = _require_groups(structure)
     _require_positive_int(n_workers, "n_workers")
@@ -349,13 +356,21 @@ def incomplete_subset_counts(
             f"subset enumeration over {n_workers} workers exceeds the "
             f"N <= {MAX_STRUCTURE_WORKERS} guard; estimate by Monte Carlo instead"
         )
-    n_low = min(n_workers, _LOW_BITS)
-    low_mask = (1 << n_low) - 1
-    lows_by_high: dict[int, set[int]] = {}
+    masks = set()
     for g in groups:
         if max(g) >= n_workers:
             raise DomainError(f"group {sorted(g)} references a worker >= {n_workers}")
-        mask = sum(1 << w for w in g)
+        masks.add(sum(1 << w for w in g))
+    if len(masks) << n_workers > MAX_SUBSET_GROUP_PRODUCT:
+        raise ComplexityGuardError(
+            f"subset enumeration over {n_workers} workers and {len(masks)} distinct "
+            f"groups exceeds the 2^N * groups <= {MAX_SUBSET_GROUP_PRODUCT} guard; "
+            "estimate by Monte Carlo instead"
+        )
+    n_low = min(n_workers, _LOW_BITS)
+    low_mask = (1 << n_low) - 1
+    lows_by_high: dict[int, set[int]] = {}
+    for mask in masks:
         lows_by_high.setdefault(mask >> n_low, set()).add(mask & low_mask)
     lo = np.arange(1 << n_low, dtype=np.uint16)
     lo_sizes = np.bitwise_count(lo)
@@ -409,7 +424,8 @@ def exact_expected_time_structure(
     Exact subset-enumeration oracle, independent of the closed forms for the
     specific policies. The enumeration is split into blocks of 2^16 low-bit
     subsets, so memory is O(2^16); time is O(2^N * groups), with the groups
-    that cannot complete inside a block skipped. Guarded at N <= 24.
+    that cannot complete inside a block skipped. Guarded at N <= 24 and at
+    2^N * distinct groups <= MAX_SUBSET_GROUP_PRODUCT.
     """
     rate = _require_positive_real(rate, "rate")
     return float(expected_time_structure_rational(structure, n_workers)) / rate

@@ -8,7 +8,6 @@ the production code path and an in-test oracle that shares no code with it
 import itertools
 import math
 import random
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +18,7 @@ from batchlat import analytics
 from batchlat.analytics import (
     MAX_BATCH_WORKER_PRODUCT,
     MAX_STRUCTURE_WORKERS,
+    MAX_SUBSET_GROUP_PRODUCT,
     ExactProbability,
     coverage_probability,
     coverage_probability_exact_n,
@@ -157,16 +157,6 @@ def _vector_counts(counts) -> tuple[int, ...]:
         prod = _poly_mul(prod, [0] + _binomial_poly(c)[1:])
     total = _binomial_poly(sum(counts))
     return tuple(t - p for t, p in zip(total, prod))
-
-
-def _traced_peak(call) -> int:
-    """Peak bytes traced by tracemalloc, numpy buffers included, during call()."""
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def _relabelled_cyclic(n: int, b: int, seed: int) -> list[frozenset]:
@@ -504,14 +494,14 @@ class TestStructureOracle:
         groups = _SPLIT_SHAPES[shape](n)
         assert incomplete_subset_counts(groups, n) == _full_mask_counts(groups, n)
 
-    def test_memory_bounded_on_relabelled_cyclic_n24(self):
+    def test_memory_bounded_on_relabelled_cyclic_n24(self, traced_peak):
         groups = _relabelled_cyclic(24, 4, seed=11)
-        assert _traced_peak(lambda: incomplete_subset_counts(groups, 24)) < 16 * 2**20
+        assert traced_peak(lambda: incomplete_subset_counts(groups, 24)) < 16 * 2**20
 
-    def test_memory_bounded_on_many_groups(self):
+    def test_memory_bounded_on_many_groups(self, traced_peak):
         _, structure = replicated_nonoverlap_layout(16, 4)
         assert len(structure.groups) == 256
-        assert _traced_peak(lambda: incomplete_subset_counts(structure, 16)) < 16 * 2**20
+        assert traced_peak(lambda: incomplete_subset_counts(structure, 16)) < 16 * 2**20
 
     def test_counts_low_orders_are_binomial(self):
         # no group fits inside fewer workers than the smallest group size
@@ -557,6 +547,27 @@ class TestStructureOracle:
         groups = [{i} for i in range(MAX_STRUCTURE_WORKERS + 1)]
         with pytest.raises(ComplexityGuardError):
             incomplete_subset_counts(groups, MAX_STRUCTURE_WORKERS + 1)
+
+    def test_group_product_guard(self):
+        # the 1296 groups of replicated (24, 4) fit; all 2024 three-worker
+        # groups at N = 24 do not, and are refused before any enumeration
+        assert len(replicated_nonoverlap_layout(24, 4)[1].groups) << 24 <= MAX_SUBSET_GROUP_PRODUCT
+        groups = [set(c) for c in itertools.combinations(range(24), 3)]
+        assert len(groups) << 24 > MAX_SUBSET_GROUP_PRODUCT
+        with pytest.raises(ComplexityGuardError):
+            incomplete_subset_counts(groups, 24)
+        with pytest.raises(ComplexityGuardError):
+            exact_expected_time_structure(groups, 24)
+
+    def test_at_group_product_limit_still_works(self, monkeypatch):
+        monkeypatch.setattr(analytics, "MAX_SUBSET_GROUP_PRODUCT", 2 << 6)
+        _, structure = cyclic_layout(6, 3)
+        assert incomplete_subset_counts(structure, 6) == (1, 6, 15, 18, 9, 0, 0)
+        # a repeated group counts once
+        repeated = [*structure.groups, {0, 2, 4}]
+        assert incomplete_subset_counts(repeated, 6) == (1, 6, 15, 18, 9, 0, 0)
+        with pytest.raises(ComplexityGuardError):
+            incomplete_subset_counts([*structure.groups, {0, 1}], 6)
 
     def test_out_of_range_worker_rejected(self):
         with pytest.raises(DomainError):

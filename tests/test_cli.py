@@ -5,6 +5,7 @@ and output is captured by capsys.
 """
 
 import csv
+import itertools
 import json
 import math
 import os
@@ -472,6 +473,14 @@ class TestExitCodes:
             "analyze", "--policy", "explicit-vector", "--vector", OVER_LIMIT_VECTOR,
         ]) == EXIT_GUARD
         assert "error:" in capsys.readouterr().err
+
+    def test_structure_guard_error(self, capsys):
+        # 2024 distinct groups at N = 24 exceed the 2^N * groups guard
+        groups = ";".join(",".join(map(str, c)) for c in itertools.combinations(range(24), 3))
+        assert main([
+            "analyze", "--policy", "explicit-structure", "-N", "24", "--groups", groups,
+        ]) == EXIT_GUARD
+        assert "2^N * groups" in capsys.readouterr().err
 
     def test_no_coverage_error(self, capsys):
         assert main([

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox, SeedSequence
 
 import batchlat.sim as sim
 from batchlat.analytics import (
@@ -38,6 +39,19 @@ from batchlat.sim import (
     derive_seed,
     monte_carlo,
 )
+
+
+def _uniform_block(seed, start_trial, n_trials, draws_per_trial):
+    """Uniforms for trials [start_trial, start_trial + n_trials), shape (n, d).
+
+    The stream contract from the sim module docstring, read straight off the
+    counter: each trial owns ceil(d/4) Philox counter blocks starting at
+    trial_index * that. ``sim._chunks`` must yield exactly these blocks.
+    """
+    blocks = (draws_per_trial + 3) // 4
+    bits = Philox(SeedSequence(seed))
+    bits.advance(start_trial * blocks)
+    return Generator(bits).random((n_trials, 4 * blocks))[:, :draws_per_trial]
 
 
 def _estimate(policy, system, n_samples=100_000, seed=7, rate=None):
@@ -148,9 +162,27 @@ class TestMonteCarloDeterminism:
             estimates = [_estimate(spec, system, n_samples=5_000) for spec in specs]
             return estimates, coverage_empirical(3, 6, 5_000, 7)
 
+        default = sim._CHUNK_BYTES
+        monkeypatch.setattr(sim, "_CHUNK_BYTES", 1 << 40)  # every run in one chunk
         baseline = run()
-        monkeypatch.setattr(sim, "_TRIALS_PER_CHUNK", 512)
-        assert run() == baseline
+        # one trial per chunk, 512 trials of 6 uniforms, and the default
+        for chunk_bytes in (8, 1 << 15, default):
+            monkeypatch.setattr(sim, "_CHUNK_BYTES", chunk_bytes)
+            assert run() == baseline, chunk_bytes
+
+    @pytest.mark.parametrize("draws", [1, 4, 5, 6, 24, 52])
+    @pytest.mark.parametrize("chunk_bytes", [8, 4096, sim._CHUNK_BYTES])
+    def test_chunks_follow_counter_offsets(self, monkeypatch, draws, chunk_bytes):
+        monkeypatch.setattr(sim, "_CHUNK_BYTES", chunk_bytes)
+        per_chunk = max(1, chunk_bytes // (32 * ((draws + 3) // 4)))
+        n = 2 * per_chunk + per_chunk // 2 + 1  # several chunks, the last one ragged
+        seed = 11
+        firsts = []
+        for lo, u in sim._chunks(seed, n, draws):
+            assert u.shape == (min(per_chunk, n - lo), draws)
+            assert np.array_equal(u, _uniform_block(seed, lo, len(u), draws))
+            firsts.append(lo)
+        assert firsts == list(range(0, n, per_chunk))
 
     def test_prefix_property(self):
         # the first trials of a longer run are the same trials
@@ -218,7 +250,7 @@ class TestReduceBeforeTransform:
 
     @staticmethod
     def _chunk(seed, n_trials, draws):
-        u = sim._uniform_block(seed, 0, n_trials, draws)
+        u = _uniform_block(seed, 0, n_trials, draws)
         u[::97] = 0.0  # whole rows at 0.0: every transform takes the tiny clamp
         u[1::89, ::3] = 0.0
         return u
@@ -458,7 +490,27 @@ class TestCoverageEmpirical:
             distinct = (np.diff(ids, axis=1) != 0).sum(axis=1) + 1
             return int((distinct == n_batches).sum())
 
-        monkeypatch.setattr(sim, "_TRIALS_PER_CHUNK", 4096)
+        monkeypatch.setattr(sim, "_CHUNK_BYTES", 1 << 17)  # 819 to 4096 trials
         n, seed = 10_000, 3
         want = sum(hits(u) for _, u in sim._chunks(seed, n, n_workers))
         assert coverage_empirical(n_batches, n_workers, n, seed) == want / n
+
+
+class TestBoundedMemory:
+    """A run holds its 8-byte-per-trial ``results`` array, one temporary of
+    that size while aggregating, and about one chunk of uniforms, whatever
+    the trial width: 200 000 trials at N=50 stay well under 8 MB (a single
+    65 536-trial chunk alone would be 27 MB)."""
+
+    N_TRIALS = 200_000
+    BOUND = 8 * 2**20
+
+    def test_monte_carlo(self, traced_peak):
+        cfg = SimConfig(
+            n_samples=self.N_TRIALS, seed=5, rate=1.0,
+            policy=PolicySpec(PolicyKind.BALANCED), system=SystemParams(50, 50, 5),
+        )
+        assert traced_peak(lambda: monte_carlo(cfg)) < self.BOUND
+
+    def test_coverage_empirical(self, traced_peak):
+        assert traced_peak(lambda: coverage_empirical(10, 20, self.N_TRIALS, 5)) < self.BOUND
