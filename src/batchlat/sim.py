@@ -30,11 +30,19 @@ worker. That is exact, not an approximation: u -> -log1p(-u) is monotone
 non-decreasing, dividing by a positive rate and clamping from below keep
 it so, and a monotone non-decreasing map commutes with min and max, so the
 transformed result is bit-identical to reducing transformed samples.
-Aggregation happens over fully materialized result arrays in trial order,
-so the estimate does not depend on how trials were chunked. A random-cc
-trial whose draw misses a batch has completion time ``inf`` (the max over a
-batch minimum that is never filled) and is never transformed; the finite
-entries are the covered trials.
+A random-cc trial whose draw misses a batch has completion time ``inf``
+(the max over a batch minimum that is never filled) and is never
+transformed; the finite entries are the covered trials.
+
+Aggregation streams: no run holds one value per trial. ``_blocks`` re-cuts
+the kernels' per-trial output into fixed blocks of ``_BLOCK`` trials
+(trials [0, _BLOCK), [_BLOCK, 2 * _BLOCK), ..., the last one short). Each
+block's finite entries are transformed in place and reduced to a count, a
+mean and M2, the sum of squared deviations from that mean, and the blocks
+are merged in trial order by the pairwise update of Chan, Golub & LeVeque
+(1983). The estimate therefore depends on ``_BLOCK`` but not on how
+``_chunks`` splits the stream, and a run's memory is about one chunk plus
+one block, whatever ``n_samples`` is.
 """
 
 from __future__ import annotations
@@ -72,6 +80,9 @@ _TINY = float(np.finfo(np.float64).tiny)
 # wrote from one core's L2 cache (2 MiB on the 2-vCPU Xeon it was measured
 # on, where 512 KiB ran the same and 12.5 MB chunks ran slower).
 _CHUNK_BYTES = 1 << 20
+# Trials per aggregation block. Fixed, so that block boundaries, and with
+# them the rounding of the merged moments, never depend on the chunking.
+_BLOCK = 1 << 13
 
 
 def derive_seed(master_seed: int, index: int) -> int:
@@ -102,8 +113,37 @@ def _chunks(seed: int, n: int, draws_per_trial: int) -> Iterator[tuple[int, np.n
         yield lo, buf[:m, :draws_per_trial]
 
 
-def _exponential_from_uniform(u: np.ndarray, rate: float) -> np.ndarray:
-    out = -np.log1p(-u)
+def _blocks(parts: Iterator[np.ndarray], size: int) -> Iterator[np.ndarray]:
+    """The concatenation of the 1-D ``parts`` in consecutive blocks of
+    ``size`` entries, the last one shorter if need be.
+
+    Every block is a view of one reused buffer, which the consumer may
+    overwrite; like ``_chunks``, it must be done with a block before asking
+    for the next.
+    """
+    buf = np.empty(size)
+    filled = 0
+    for part in parts:
+        while len(part):
+            take = min(size - filled, len(part))
+            buf[filled : filled + take] = part[:take]
+            part = part[take:]
+            filled += take
+            if filled == size:
+                yield buf
+                filled = 0
+    if filled:
+        yield buf[:filled]
+
+
+def _exponential_from_uniform(
+    u: np.ndarray, rate: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Service times -log1p(-u) / rate, clamped below; into ``out`` if given,
+    which may be u itself."""
+    out = np.negative(u, out=out)
+    np.log1p(out, out=out)
+    np.negative(out, out=out)
     out /= rate
     # u == 0.0 maps to 0.0; clamp so service times stay strictly positive.
     np.maximum(out, _TINY, out=out)
@@ -181,7 +221,11 @@ def _run_random_cc(u: np.ndarray, n_batches: int) -> np.ndarray:
     mins = np.full((u.shape[0], n_batches), np.inf)
     slots = _batch_slots(u[:, :n_workers], n_batches)
     np.minimum.at(mins.reshape(-1), slots.ravel(), u[:, n_workers:].ravel())
-    return mins.max(axis=1)
+    # fold the batch columns; max() along the short row axis is slower
+    best = mins[:, 0].copy()
+    for column in mins.T[1:]:
+        np.maximum(best, column, out=best)
+    return best
 
 
 def monte_carlo(cfg: SimConfig) -> CompletionEstimate:
@@ -193,6 +237,10 @@ def monte_carlo(cfg: SimConfig) -> CompletionEstimate:
     95% interval is the normal approximation from the sample standard
     deviation over completed trials. Identical configs produce bit-identical
     estimates.
+
+    The mean and variance are merged from fixed blocks of ``_BLOCK`` trials
+    in trial order (see the module docstring), so no per-trial array is
+    kept; they match a one-pass ``mean`` and ``std`` up to the last bits.
     """
     plan, n, rate = cfg.plan, cfg.n_samples, cfg.rate
     draws = cfg.system.n_workers
@@ -216,23 +264,32 @@ def monte_carlo(cfg: SimConfig) -> CompletionEstimate:
     else:
         draws *= 2  # N batch draws, then N service draws
         kernel = functools.partial(_run_random_cc, n_batches=cfg.system.n_batches)
-    results = np.empty(n)
-    n_covered = 0
-    for lo, u in _chunks(cfg.seed, n, draws):
-        best = kernel(u)
-        finite = np.isfinite(best)  # random-cc's uncovered trials stay inf
-        best[finite] = _exponential_from_uniform(best[finite], rate)
-        results[lo : lo + len(best)] = best
-        n_covered += int(finite.sum())
+    n_covered, mean, m2 = 0, 0.0, 0.0
+    per_trial = (kernel(u) for _, u in _chunks(cfg.seed, n, draws))
+    for block in _blocks(per_trial, min(_BLOCK, n)):
+        finite = np.isfinite(block)  # random-cc's uncovered trials stay inf
+        k = int(np.count_nonzero(finite))
+        if k == 0:
+            continue
+        if k < len(block):
+            block[:k] = block[finite]
+        x = _exponential_from_uniform(block[:k], rate, out=block[:k])
+        block_mean = float(x.mean())
+        x -= block_mean
+        np.square(x, out=x)
+        # merge (k, block_mean, block M2 = sum of x) into the running moments
+        total = n_covered + k
+        delta = block_mean - mean
+        mean += delta * (k / total)
+        m2 += float(x.sum()) + delta * delta * (n_covered * k / total)
+        n_covered = total
 
     if n_covered == 0:
         raise NoCoverageError(
             f"none of the {n} trials covered all {cfg.system.n_batches} batches"
         )
-    values = results if n_covered == n else results[np.isfinite(results)]
     coverage_rate = n_covered / n
-    mean = float(values.mean())
-    std = float(values.std(ddof=1)) if n_covered > 1 else 0.0
+    std = math.sqrt(m2 / (n_covered - 1)) if n_covered > 1 else 0.0
     std_error = std / math.sqrt(n_covered)
     half = _Z95 * std_error
     return CompletionEstimate(

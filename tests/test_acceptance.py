@@ -3,7 +3,9 @@
 Each criterion prints its verdict even under pytest's output capture. The
 Monte Carlo checks run at fixed seeds, so every run of this suite is
 deterministic; the pinned seeds give runs whose confidence intervals cover
-the exact values, which is the behaviour the criteria demand.
+the exact values, which is the behaviour the criteria demand. Next to AC5
+and AC6, a seed-robust check counts the interval misses of the same grids
+over many derived seeds against the binomial law they must follow.
 """
 
 import itertools
@@ -226,6 +228,112 @@ def test_ac5_fifty_worker_rate_sweep(capsys, tmp_path):
         assert time.perf_counter() - start < 120.0
 
 
+def _ac6_cases():
+    """AC6's 22 small instances: (policy, system, closed form or None,
+    enumeration oracle)."""
+    cases = []
+    vectors = [
+        (2, 2, 2), (3, 2, 1), (4, 1, 1), (1, 1, 1, 1), (2, 2, 2, 2),
+        (3, 3, 3, 3), (6, 6), (5, 4, 3), (2, 1), (1, 1),
+    ]
+    for vec in vectors:
+        n, b = sum(vec), len(vec)
+        cases.append(
+            (
+                PolicySpec(PolicyKind.EXPLICIT_VECTOR, vector=vec),
+                _vector_system(n, b),
+                expected_time_assignment(vec),
+                float(expected_time_structure_rational(_product_groups(vec), n)),
+            )
+        )
+    cyclics = [(4, 2), (6, 2), (6, 3), (8, 4), (9, 3), (10, 5), (12, 4), (12, 6)]
+    for n, b in cyclics:
+        cases.append(
+            (
+                PolicySpec(PolicyKind.CYCLIC),
+                SystemParams(n, n, b, 1.0),
+                expected_time_cyclic(n, b),
+                float(expected_time_structure_rational(cyclic_layout(n, b)[1], n)),
+            )
+        )
+    structures = [
+        (6, shared_pair_layout()[1].groups, None),
+        (6, replicated_nonoverlap_layout(6, 3)[1].groups, expected_time_balanced(6, 3)),
+        (8, replicated_nonoverlap_layout(8, 4)[1].groups, expected_time_balanced(8, 4)),
+        (12, replicated_nonoverlap_layout(12, 4)[1].groups, expected_time_balanced(12, 4)),
+    ]
+    for n, groups, closed in structures:
+        b = len(sorted(groups[0]))
+        cases.append(
+            (
+                PolicySpec(PolicyKind.EXPLICIT_STRUCTURE, groups=groups),
+                SystemParams(n, n, b, 1.0),
+                closed,
+                float(expected_time_structure_rational(groups, n)),
+            )
+        )
+    return cases
+
+
+def _binomial_acceptance(n, p, false_alarm):
+    """The two-sided acceptance region [lo, hi] for X ~ Binomial(n, p): the
+    widest tails with P(X < lo) and P(X > hi) each at most false_alarm / 2,
+    computed exactly in rationals."""
+    pmf = [math.comb(n, k) * p**k * (1 - p) ** (n - k) for k in range(n + 1)]
+    lo, tail = 0, Fraction(0)
+    while tail + pmf[lo] <= false_alarm / 2:
+        tail += pmf[lo]
+        lo += 1
+    hi, tail = n, Fraction(0)
+    while tail + pmf[hi] <= false_alarm / 2:
+        tail += pmf[hi]
+        hi -= 1
+    return lo, hi
+
+
+def test_interval_misses_fit_the_binomial_at_any_seed(capsys, tmp_path):
+    with _criterion(
+        capsys,
+        "AC5/AC6 over seeds",
+        "95% interval misses over many derived seeds fit Binomial(n, 0.05)",
+    ):
+        # AC5 and AC6 need every interval to cover at one pinned seed, which
+        # checks that the stream is unchanged; this counts the misses over
+        # K seeds, which holds at any master seed, and would flag a wrong
+        # standard error or a biased mean. False alarm 1e-6 per check.
+        false_alarm = Fraction(1, 10**6)
+        master = 2026
+        k_sweep, k_cases, n_samples = 10, 40, 2000
+        misses = 0
+        for k in range(k_sweep):
+            spec = SweepSpec(
+                seed=derive_seed(master, k), n_samples=n_samples,
+                output_path=str(tmp_path / "sweep.csv"),
+            )
+            rows = run_sweep(spec)
+            assert len(rows) == 120
+            misses += sum(not row["ci_low"] <= row["exact"] <= row["ci_high"] for row in rows)
+        lo, hi = _binomial_acceptance(k_sweep * 120, Fraction(1, 20), false_alarm)
+        assert lo <= misses <= hi, (misses, lo, hi)
+
+        cases = _ac6_cases()
+        misses = 0
+        for k in range(k_cases):
+            for index, (policy, system, _, enumerated) in enumerate(cases):
+                est = monte_carlo(
+                    SimConfig(
+                        n_samples=n_samples,
+                        seed=derive_seed(derive_seed(master, k_sweep + k), index),
+                        rate=1.0,
+                        policy=policy,
+                        system=system,
+                    )
+                )
+                misses += not est.contains(enumerated)
+        lo, hi = _binomial_acceptance(k_cases * len(cases), Fraction(1, 20), false_alarm)
+        assert lo <= misses <= hi, (misses, lo, hi)
+
+
 def test_ac6_cross_oracle_consistency(capsys):
     with _criterion(
         capsys,
@@ -233,50 +341,7 @@ def test_ac6_cross_oracle_consistency(capsys):
         "subset enumeration, closed forms, and simulation agree on every "
         "small instance",
     ):
-        # (policy, system, closed form or None, enumeration oracle)
-        cases = []
-        vectors = [
-            (2, 2, 2), (3, 2, 1), (4, 1, 1), (1, 1, 1, 1), (2, 2, 2, 2),
-            (3, 3, 3, 3), (6, 6), (5, 4, 3), (2, 1), (1, 1),
-        ]
-        for vec in vectors:
-            n, b = sum(vec), len(vec)
-            cases.append(
-                (
-                    PolicySpec(PolicyKind.EXPLICIT_VECTOR, vector=vec),
-                    _vector_system(n, b),
-                    expected_time_assignment(vec),
-                    float(expected_time_structure_rational(_product_groups(vec), n)),
-                )
-            )
-        cyclics = [(4, 2), (6, 2), (6, 3), (8, 4), (9, 3), (10, 5), (12, 4), (12, 6)]
-        for n, b in cyclics:
-            cases.append(
-                (
-                    PolicySpec(PolicyKind.CYCLIC),
-                    SystemParams(n, n, b, 1.0),
-                    expected_time_cyclic(n, b),
-                    float(
-                        expected_time_structure_rational(cyclic_layout(n, b)[1], n)
-                    ),
-                )
-            )
-        structures = [
-            (6, shared_pair_layout()[1].groups, None),
-            (6, replicated_nonoverlap_layout(6, 3)[1].groups, expected_time_balanced(6, 3)),
-            (8, replicated_nonoverlap_layout(8, 4)[1].groups, expected_time_balanced(8, 4)),
-            (12, replicated_nonoverlap_layout(12, 4)[1].groups, expected_time_balanced(12, 4)),
-        ]
-        for n, groups, closed in structures:
-            b = len(sorted(groups[0]))
-            cases.append(
-                (
-                    PolicySpec(PolicyKind.EXPLICIT_STRUCTURE, groups=groups),
-                    SystemParams(n, n, b, 1.0),
-                    closed,
-                    float(expected_time_structure_rational(groups, n)),
-                )
-            )
+        cases = _ac6_cases()
         assert len(cases) == 22
         for index, (policy, system, closed, enumerated) in enumerate(cases):
             if closed is not None:

@@ -5,6 +5,7 @@ module with wide (4 standard error) bands; the acceptance suite holds the
 strict 95% intervals.
 """
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -442,6 +443,78 @@ class TestEstimateEdges:
             )
 
 
+def _one_pass_estimate(cfg):
+    """(mean, std_error, coverage_rate) aggregated the one-pass way: every
+    trial's time materialized from ``sim._chunks`` and the kernel, then
+    ``np.mean`` and ``np.std(ddof=1)``."""
+    plan, system = cfg.plan, cfg.system
+    draws = system.n_workers
+    if plan.counts is not None:
+        kernel = functools.partial(_max_of_min, counts=plan.counts)
+    elif plan.groups is not None:
+        kernel = functools.partial(_min_of_max, columns=[sorted(g) for g in plan.groups()])
+    else:
+        draws *= 2
+        kernel = functools.partial(sim._run_random_cc, n_batches=system.n_batches)
+    results = np.concatenate(
+        [kernel(u) for _, u in sim._chunks(cfg.seed, cfg.n_samples, draws)]
+    )
+    values = _transformed(results, cfg.rate)
+    values = values[np.isfinite(values)]
+    std = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
+    return float(np.mean(values)), std / math.sqrt(len(values)), len(values) / cfg.n_samples
+
+
+class TestStreamedMoments:
+    """Block-merged moments agree with the one-pass aggregation over all
+    results, at block boundaries and with uncovered random-cc trials."""
+
+    SYSTEMS = [
+        (PolicySpec(PolicyKind.BALANCED), SystemParams(6, 6, 3)),
+        (PolicySpec(PolicyKind.CYCLIC), SystemParams(12, 12, 4)),
+        (
+            PolicySpec(
+                PolicyKind.EXPLICIT_STRUCTURE,
+                groups=replicated_nonoverlap_layout(16, 4)[1].groups,
+            ),
+            SystemParams(16, 16, 4),
+        ),
+        # leaves about a quarter of its trials uncovered (p = 540/729)
+        (PolicySpec(PolicyKind.RANDOM_CC), SystemParams(6, 6, 3)),
+    ]
+
+    @staticmethod
+    def _check(cfg):
+        got = monte_carlo(cfg)
+        mean, std_error, coverage_rate = _one_pass_estimate(cfg)
+        assert got.mean == pytest.approx(mean, rel=1e-13, abs=0)
+        assert got.std_error == pytest.approx(std_error, rel=1e-13, abs=0)
+        assert got.coverage_rate == coverage_rate
+        return got
+
+    @pytest.mark.parametrize(
+        "policy,system", SYSTEMS, ids=["balanced", "cyclic", "structure-256", "random-cc"]
+    )
+    @pytest.mark.parametrize(
+        "n_samples",
+        [1, 2, sim._BLOCK - 1, sim._BLOCK, sim._BLOCK + 1, 3 * sim._BLOCK + 5],
+    )
+    def test_matches_one_pass(self, policy, system, n_samples):
+        self._check(SimConfig(n_samples, 13, 1.7, policy, system))
+
+    def test_single_covered_trial(self):
+        # 12 workers cover 12 batches with probability 12!/12^12, about
+        # 5.4e-5; at this seed only trial 16 869 is covered, in the third
+        # block, after two blocks with none
+        cfg = SimConfig(
+            3 * sim._BLOCK + 5, 13, 1.0, PolicySpec(PolicyKind.RANDOM_CC),
+            SystemParams(12, 12, 12),
+        )
+        est = self._check(cfg)
+        assert est.coverage_rate == 1 / cfg.n_samples
+        assert est.std_error == 0.0
+
+
 class TestCoverageEmpirical:
     def test_certain_coverage(self):
         assert coverage_empirical(1, 1, 1000, seed=0) == 1.0
@@ -497,10 +570,11 @@ class TestCoverageEmpirical:
 
 
 class TestBoundedMemory:
-    """A run holds its 8-byte-per-trial ``results`` array, one temporary of
-    that size while aggregating, and about one chunk of uniforms, whatever
-    the trial width: 200 000 trials at N=50 stay well under 8 MB (a single
-    65 536-trial chunk alone would be 27 MB)."""
+    """A run holds about one chunk of uniforms, the kernel's output for it
+    and one aggregation block, whatever the trial width or count: 200 000
+    trials at N=50 stay well under 8 MB (a single 65 536-trial chunk alone
+    would be 27 MB), and 10^6 narrow trials under 4 MiB (one 8-byte result
+    per trial alone would be 7.6 MiB)."""
 
     N_TRIALS = 200_000
     BOUND = 8 * 2**20
@@ -511,6 +585,18 @@ class TestBoundedMemory:
             policy=PolicySpec(PolicyKind.BALANCED), system=SystemParams(50, 50, 5),
         )
         assert traced_peak(lambda: monte_carlo(cfg)) < self.BOUND
+
+    @pytest.mark.parametrize(
+        "policy,system",
+        [
+            (PolicySpec(PolicyKind.BALANCED), SystemParams(6, 6, 3)),
+            (PolicySpec(PolicyKind.RANDOM_CC), SystemParams(12, 12, 3)),
+        ],
+        ids=["balanced-6-3", "random-cc-12-3"],
+    )
+    def test_monte_carlo_memory_does_not_grow_with_trials(self, traced_peak, policy, system):
+        cfg = SimConfig(n_samples=10**6, seed=5, rate=1.0, policy=policy, system=system)
+        assert traced_peak(lambda: monte_carlo(cfg)) < 4 * 2**20
 
     def test_coverage_empirical(self, traced_peak):
         assert traced_peak(lambda: coverage_empirical(10, 20, self.N_TRIALS, 5)) < self.BOUND
