@@ -78,6 +78,33 @@ def _expected_time_subsets(counts) -> Fraction:
     return total
 
 
+def _harmonics(n: int) -> list[Fraction]:
+    """[H_0, H_1, ..., H_n], each by adding one Fraction to the last."""
+    h = [Fraction(0)]
+    for k in range(1, n + 1):
+        h.append(h[-1] + Fraction(1, k))
+    return h
+
+
+def _expected_time_sequential(counts) -> Fraction:
+    """Inclusion-exclusion grouped by replica-count sum: prod_i (1 - x^c_i)
+    expanded in a Python list, then summed term by term over one common
+    denominator, with a single reduction at the end."""
+    poly = [1] + [0] * sum(counts)
+    degree = 0
+    for c in sorted(counts):
+        degree += c
+        for w in range(degree, c - 1, -1):
+            poly[w] -= poly[w - c]
+    num, den = 0, 1
+    for w, coef in enumerate(poly):
+        if w and coef:
+            g = math.gcd(den, w)
+            num = num * (w // g) - coef * (den // g)
+            den *= w // g
+    return Fraction(num, den)
+
+
 def _survival_nonoverlap(counts, t: float) -> float:
     """P(completion > t) at rate 1 for a replica-count vector."""
     cdf = 1.0
@@ -194,8 +221,11 @@ class TestHarmonic:
         assert harmonic(6) == Fraction(49, 20)
 
     def test_matches_direct_sum(self):
-        for n in (4, 10, 37):
-            assert harmonic(n) == sum(Fraction(1, k) for k in range(1, n + 1))
+        # every n up to 130 crosses several tree shapes; the rest sit on
+        # both sides of a power of two, up to 3000 terms
+        h = _harmonics(3000)
+        for n in [*range(1, 131), 255, 256, 257, 1000, 2047, 2048, 2049, 3000]:
+            assert harmonic(n) == h[n], n
 
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):
@@ -234,6 +264,9 @@ class TestExactProbability:
         p = ExactProbability(540, 729)
         assert (p.numerator, p.denominator) == (20, 27)
         assert p.float_value == 20 / 27
+        assert p.fraction == Fraction(20, 27)
+        assert p == ExactProbability(20, 27) and hash(p) == hash(ExactProbability(20, 27))
+        assert repr(p) == f"ExactProbability(numerator=20, denominator=27, float_value={20 / 27!r})"
 
     def test_float_is_correctly_rounded(self):
         # Fraction.__float__ is correctly rounded; float_value must match it.
@@ -325,6 +358,11 @@ class TestBalanced:
         assert expected_time_balanced_rational(6, 3) == Fraction(11, 12)
         assert expected_time_balanced(6, 3) == 11 / 12
 
+    def test_matches_harmonic_sum(self):
+        h = _harmonics(300)
+        for n, b in [(6, 3), (20, 5), (300, 300), (300, 1), (300, 60)]:
+            assert expected_time_balanced_rational(n, b) == Fraction(b, n) * h[b], (n, b)
+
     def test_matches_assignment_formula(self):
         for n, b in [(4, 2), (6, 3), (8, 4), (12, 4), (20, 5), (9, 3)]:
             counts = (n // b,) * b
@@ -348,6 +386,7 @@ class TestAssignment:
         assert expected_time_assignment_rational((4, 1, 1)) == Fraction(91, 60)
         assert expected_time_assignment_rational((2, 2, 2)) == Fraction(11, 12)
         assert expected_time_assignment_rational((1,)) == 1
+        assert expected_time_assignment_rational((10**6,)) == Fraction(1, 10**6)
 
     def test_against_subset_oracle(self):
         vectors = [
@@ -400,6 +439,20 @@ class TestAssignment:
         for v in [(2,) * 25, *_proportional_vectors(4000, 25)]:
             assert expected_time_assignment(v) == float(expected_time_assignment_rational(v)), v
 
+    def test_matches_sequential_sum_across_dtype_boundary(self):
+        # int64 coefficients up to B = 62, Python ints beyond
+        rng = random.Random(62)
+        for b in (1, 2, 61, 62, 63, 64, 100):
+            for _ in range(3):
+                n = rng.randint(b, 4000)
+                cuts = sorted(rng.sample(range(1, n), b - 1))
+                v = tuple(hi - lo for lo, hi in zip([0, *cuts], [*cuts, n]))
+                assert expected_time_assignment_rational(v) == _expected_time_sequential(v), v
+        # (1 - x)^B: the coefficients peak at C(B, B/2), past int64 at B = 100
+        for b in (62, 63, 64, 100):
+            v = (1,) * b
+            assert expected_time_assignment_rational(v) == _expected_time_sequential(v), b
+
     def test_wide_vector_is_exact(self):
         assert expected_time_assignment_rational((2,) * 500) == expected_time_balanced_rational(
             1000, 500
@@ -428,12 +481,13 @@ class TestAssignment:
 class TestCyclic:
     def test_known_values(self):
         assert expected_time_cyclic_rational(6, 3) == Fraction(73, 60)
-        assert expected_time_cyclic_rational(50, 25) == 2 * harmonic(25) - harmonic(50)
+        h = _harmonics(50)
+        assert expected_time_cyclic_rational(50, 25) == 2 * h[25] - h[50]
         assert expected_time_cyclic(50, 25) == pytest.approx(3.1327110171775887, rel=1e-15)
 
     def test_degenerate_shapes(self):
         # one group of N workers: plain maximum
-        assert expected_time_cyclic_rational(6, 6) == harmonic(6)
+        assert expected_time_cyclic_rational(6, 6) == _harmonics(6)[6]
         # N singleton groups: plain minimum
         assert expected_time_cyclic_rational(6, 1) == Fraction(1, 6)
 
@@ -445,11 +499,14 @@ class TestCyclic:
             ), (n, b)
 
     def test_matches_harmonic_sum(self):
-        # the closed form with each H_{jB} rebuilt from scratch
-        for n, b in [(6, 3), (12, 4), (30, 5), (40, 8), (7, 7), (9, 1), (60, 20)]:
+        # the closed form sum_j (-1)^(j+1) C(G, j) H_{jB}, term by term
+        h = _harmonics(2000)
+        shapes = [(6, 3), (12, 4), (30, 5), (40, 8), (7, 7), (9, 1), (60, 20),
+                  (1800, 20), (2000, 1), (2000, 2000)]
+        for n, b in shapes:
             g = n // b
             direct = sum(
-                (-1) ** (j + 1) * math.comb(g, j) * harmonic(j * b) for j in range(1, g + 1)
+                (-1) ** (j + 1) * math.comb(g, j) * h[j * b] for j in range(1, g + 1)
             )
             assert expected_time_cyclic_rational(n, b) == direct, (n, b)
 
