@@ -19,6 +19,7 @@ import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add, floordiv, mul
 
 import numpy as np
 
@@ -63,13 +64,16 @@ __all__ = [
 #: Refuse the assignment-vector and coverage closed forms when B * N exceeds
 #: this. On a 2-vCPU Xeon under CPython 3.11 the vector route takes
 #: 0.09-0.15 s at (B, N) = (1000, 10000) and 0.35-0.56 s at (3000, 3000);
-#: coverage takes 0.8-1.3 s at (1000, 10000) and 1.2-1.9 s at
-#: B = N = 3162, its costliest shape.
+#: coverage takes 0.45-0.65 s at (1000, 10000) and at B = N = 3162. At the
+#: same B * N, coverage slows as B falls, because reducing the B^N-sized
+#: fraction dominates: 1.3-1.7 s at (100, 100000), 33 s at (3, 3333333).
 MAX_BATCH_WORKER_PRODUCT = 10**7
 
-#: Refuse subset enumeration over more than this many workers. The 2^N
-#: subsets are walked in blocks of 2^16, so memory stays O(2^16) whatever
-#: the number of groups; at the limit a cyclic layout takes about 0.01 s.
+#: Refuse subset counting over more than this many workers. A structure with
+#: fewer distinct groups than min(N, 16) is counted by inclusion-exclusion
+#: over its at most 2^15 group unions, 0.1-0.3 ms for a cyclic layout at
+#: N = 24 on a 2-vCPU Xeon; any other walks the 2^N subsets in blocks of
+#: 2^16, so memory stays O(2^16) whatever the number of groups.
 MAX_STRUCTURE_WORKERS = 24
 
 #: Refuse subset enumeration when 2^N times the number of distinct groups
@@ -80,7 +84,9 @@ MAX_STRUCTURE_WORKERS = 24
 MAX_SUBSET_GROUP_PRODUCT = 25 * 10**9
 
 # Subsets are split into a high part, walked in Python, and this many low
-# bits, tested in one numpy block per high part.
+# bits, tested in one numpy block per high part. Fewer distinct groups than
+# min(N, this) take inclusion-exclusion instead, over at most half a block
+# of group unions.
 _LOW_BITS = 16
 
 
@@ -119,6 +125,20 @@ class ExactProbability:
     def __float__(self) -> float:
         return self.float_value
 
+    def __repr__(self) -> str:
+        return (
+            f"ExactProbability(numerator={_int_repr(self.numerator)}, "
+            f"denominator={_int_repr(self.denominator)}, float_value={self.float_value!r})"
+        )
+
+
+def _int_repr(v: int) -> str:
+    """repr(v), or hex(v) when v is past the interpreter's int-to-str digit limit."""
+    try:
+        return repr(v)
+    except ValueError:
+        return hex(v)
+
 
 def _require_batch_worker_product(n_batches: int, n_workers: int, route: str) -> None:
     if n_batches * n_workers > MAX_BATCH_WORKER_PRODUCT:
@@ -128,25 +148,31 @@ def _require_batch_worker_product(n_batches: int, n_workers: int, route: str) ->
         )
 
 
-def _sum_fractions(terms: Iterable[tuple[int, int]]) -> Fraction:
-    """Exact sum of p/q over the (p, q) integer pairs, q > 0.
+def _fold_fractions(p: list[int], q: list[int], rows: int = 1) -> tuple[list[int], list[int]]:
+    """Unreduced sums of p[i]/q[i], q[i] > 0, over each class of i mod rows.
 
-    Terms merge pairwise in a balanced tree, kept as a binary-counter stack
-    of at most log2(terms) partial sums: p1/q1 + p2/q2 is taken over
-    lcm(q1, q2) unreduced, and the result is reduced once at the end.
+    Each row of the column-major table is summed in a balanced tree, one
+    level at a time: the first half of the columns merges with the second
+    in a few C-level maps, p1/q1 + p2/q2 over lcm(q1, q2), and an odd last
+    column is carried up a level.
     """
-    stack: list[tuple[int, int, int]] = []  # (numerator, denominator, leaves)
-    for p, q in terms:
-        n = 1
-        while stack and stack[-1][2] == n:
-            p1, q1, _ = stack.pop()
-            g = math.gcd(q1, q)
-            p, q, n = p1 * (q // g) + p * (q1 // g), q1 // g * q, 2 * n
-        stack.append((p, q, n))
-    p, q = 0, 1
-    for p1, q1, _ in stack:
-        g = math.gcd(q1, q)
-        p, q = p1 * (q // g) + p * (q1 // g), q1 // g * q
+    while len(p) > rows:
+        half = len(p) // rows // 2 * rows
+        q1, q2 = q[:half], q[half : 2 * half]
+        g = list(map(math.gcd, q1, q2))
+        a = list(map(floordiv, q2, g))
+        p2 = map(mul, p[half : 2 * half], map(floordiv, q1, g))
+        p = [*map(add, map(mul, p[:half], a), p2), *p[2 * half :]]
+        q = [*map(mul, q1, a), *q[2 * half :]]
+    return p, q
+
+
+def _sum_fractions(p: list[int], q: list[int]) -> Fraction:
+    """Exact sum of p[i]/q[i] over equal-length lists, merged level-wise by
+    _fold_fractions and reduced once at the end."""
+    if not p:
+        return Fraction(0)
+    (p,), (q,) = _fold_fractions(p, q)
     return Fraction(p, q)
 
 
@@ -158,7 +184,7 @@ def harmonic(n: int) -> Fraction:
     independent unit-rate exponential variables.
     """
     _require_positive_int(n, "n")
-    return _sum_fractions((1, k) for k in range(1, n + 1))
+    return _sum_fractions([1] * n, list(range(1, n + 1)))
 
 
 def stirling2(n: int, k: int) -> int:
@@ -186,9 +212,27 @@ def stirling2(n: int, k: int) -> int:
     return row[k]
 
 
+def _powers(n: int, k: int) -> list[int]:
+    """[i**n for i in range(k + 1)], with one pow per odd prime i: an even i is
+    (i/2)^n << n, and an odd composite i the product of the entries of its
+    smallest prime factor f, from a sieve, and of i/f."""
+    spf = list(range(k + 1))
+    for f in range(math.isqrt(k) | 1, 1, -2):  # descending, so the smallest f is written last
+        spf[f * f :: 2 * f] = [f] * len(range(f * f, k + 1, 2 * f))
+    p = [0**n, 1][: k + 1]
+    for i in range(2, k + 1):
+        f = spf[i]
+        p.append(p[i >> 1] << n if i % 2 == 0 else i**n if f == i else p[f] * p[i // f])
+    return p
+
+
 def _surjections(n: int, k: int) -> int:
     """Maps from an n-set onto a k-set: sum_i (-1)^(k-i) C(k,i) i^n."""
-    return sum((-1) ** (k - i) * math.comb(k, i) * i**n for i in range(k + 1))
+    total, binom = 0, 1  # binom = C(k, i): one small division a term, not one math.comb
+    for i, power in enumerate(_powers(n, k)):
+        total = binom * power - total  # so term i ends with the sign (-1)^(k-i)
+        binom = binom * (k - i) // (i + 1)
+    return total
 
 
 def stirling2_alternating(n: int, k: int) -> int:
@@ -298,7 +342,7 @@ def expected_time_assignment_rational(vector: AssignmentVector | Sequence[int]) 
     """
     poly = _survival_polynomial(_checked_counts(vector))
     w = np.flatnonzero(poly)[1:]  # the constant term is 1 and is not summed
-    return -_sum_fractions(zip(poly[w].tolist(), w.tolist()))
+    return -_sum_fractions(poly[w].tolist(), w.tolist())
 
 
 def expected_time_assignment(
@@ -335,11 +379,12 @@ def expected_time_cyclic_rational(n_workers: int, n_batches: int) -> Fraction:
             f"cyclic layout needs n_batches={n_batches} dividing n_workers={n_workers}"
         )
     n_groups = n_workers // n_batches
-    # d[t] = d_{t+1}, made one at a time since each has up to G bits
-    d = ((-1) ** t * math.comb(n_groups - 1, t) for t in range(n_groups))
-    return _sum_fractions(
-        (d_t, t * n_batches + i) for t, d_t in enumerate(d) for i in range(1, n_batches + 1)
-    )
+    # Sum the B terms 1/k that share d_{t+1} first, in small integers, as row t
+    # of the column-major table of k = t*B + i; only G sums meet the G-bit d_t.
+    ks = [k for i in range(1, n_batches + 1) for k in range(i, n_workers + 1, n_batches)]
+    p, q = _fold_fractions([1] * n_workers, ks, n_groups)
+    d = [(-1) ** t * math.comb(n_groups - 1, t) for t in range(n_groups)]
+    return _sum_fractions(list(map(mul, d, p)), q)
 
 
 def expected_time_cyclic(n_workers: int, n_batches: int, rate: float = 1.0) -> float:
@@ -354,14 +399,12 @@ def incomplete_subset_counts(
     """a_k for k = 0..N: how many k-subsets of workers contain no complete group.
 
     These are the coefficients of the completion-time survival function in
-    the finished-worker count. Each N-bit subset mask is split into its top
-    N - L bits h and its low L = min(N, 16) bits. For each h, a group whose
-    high bits are not all in h cannot complete and is skipped; the rest are
-    tested on the low bits at once over all 2^L low parts, and the histogram
-    of incomplete low parts by size, shifted by the size of h, adds into a_k;
-    high parts that admit the same groups share one histogram. Memory is
-    O(2^16) whatever the number of groups and time O(2^N * groups); guarded
-    at N <= 24 and at 2^N * distinct groups <= MAX_SUBSET_GROUP_PRODUCT.
+    the finished-worker count. Fewer distinct groups than min(N, 16) are
+    counted by inclusion-exclusion over their at most 2^15 unions, in
+    O(2^groups) numpy work; more, whose unions would outnumber the subsets,
+    by enumerating the 2^N subsets in blocks of 2^16, in O(2^16) memory and
+    O(2^N * groups) time. Both routes are guarded at N <= 24 and at
+    2^N * distinct groups <= MAX_SUBSET_GROUP_PRODUCT.
     """
     groups = _require_groups(structure)
     _require_positive_int(n_workers, "n_workers")
@@ -381,6 +424,32 @@ def incomplete_subset_counts(
             f"groups exceeds the 2^N * groups <= {MAX_SUBSET_GROUP_PRODUCT} guard; "
             "estimate by Monte Carlo instead"
         )
+    if len(masks) < min(n_workers, _LOW_BITS):
+        return _subset_counts_by_union(masks, n_workers)
+    return _subset_counts_by_enumeration(masks, n_workers)
+
+
+def _subset_counts_by_union(masks: Iterable[int], n_workers: int) -> tuple[int, ...]:
+    """a_k by inclusion-exclusion: the k-subsets holding the union of a set S
+    of groups, of u workers, number C(N - u, k - u), with the sign (-1)^|S|.
+    The table is built by doubling, so entry i is the union of the groups
+    whose bits are set in i, and its sign is the parity of i."""
+    unions = np.zeros(1, dtype=np.uint32)
+    for m in masks:
+        unions = np.concatenate((unions, unions | m))
+    odd = np.bitwise_count(np.arange(unions.size, dtype=np.uint32)) & 1 == 1
+    sizes, n = np.bitwise_count(unions), n_workers
+    c = np.bincount(sizes[~odd], minlength=n + 1) - np.bincount(sizes[odd], minlength=n + 1)
+    c = c.tolist()  # signed count of unions by size
+    return tuple(sum(c[u] * math.comb(n - u, k - u) for u in range(k + 1)) for k in range(n + 1))
+
+
+def _subset_counts_by_enumeration(masks: Iterable[int], n_workers: int) -> tuple[int, ...]:
+    """a_k by testing the groups on all 2^N subsets, split into a high part h
+    and the low L = min(N, 16) bits: each h tests, in one numpy block over the
+    2^L low parts, only the groups whose high bits lie in h, and the size
+    histogram of incomplete low parts, shifted by the size of h, adds into
+    a_k. High parts that admit the same groups share one histogram."""
     n_low = min(n_workers, _LOW_BITS)
     low_mask = (1 << n_low) - 1
     lows_by_high: dict[int, set[int]] = {}
@@ -435,10 +504,10 @@ def exact_expected_time_structure(
 ) -> float:
     """Expected completion time when the job ends as soon as some group finishes.
 
-    Exact subset-enumeration oracle, independent of the closed forms for the
-    specific policies. The enumeration is split into blocks of 2^16 low-bit
-    subsets, so memory is O(2^16); time is O(2^N * groups), with the groups
-    that cannot complete inside a block skipped. Guarded at N <= 24 and at
+    Exact oracle from incomplete_subset_counts, independent of the closed
+    forms for the specific policies: inclusion-exclusion over group unions
+    below min(N, 16) distinct groups, else subset enumeration in blocks of
+    2^16 with O(2^N * groups) time. Guarded at N <= 24 and at
     2^N * distinct groups <= MAX_SUBSET_GROUP_PRODUCT.
     """
     rate = _require_positive_real(rate, "rate")

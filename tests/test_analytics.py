@@ -8,6 +8,7 @@ the production code path and an in-test oracle that shares no code with it
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -192,6 +193,33 @@ def _relabelled_cyclic(n: int, b: int, seed: int) -> list[frozenset]:
     return [frozenset(perm[w] for w in g) for g in cyclic_layout(n, b)[1].groups]
 
 
+def _surjections_direct(n: int, k: int) -> int:
+    """Maps from an n-set onto a k-set, one pow per term of the alternating sum."""
+    return sum((-1) ** (k - i) * math.comb(k, i) * i**n for i in range(k + 1))
+
+
+def _random_masks(n: int, g: int, seed: int) -> list[int]:
+    """g distinct non-empty worker masks over n workers: one single worker,
+    all workers, then groups nested in an earlier one or drawn at random
+    (and so overlapping), in seeded order."""
+    rng = random.Random(seed)
+    full = (1 << n) - 1
+    masks: list[int] = []
+    for m in (1 << rng.randrange(n), full):
+        if len(masks) < g and m not in masks:
+            masks.append(m)
+    while len(masks) < g:
+        m = rng.choice(masks) & rng.randrange(full + 1) if rng.random() < 0.5 else 0
+        m = m or rng.randrange(1, full + 1)
+        if m not in masks:
+            masks.append(m)
+    return masks
+
+
+def _mask_groups(masks) -> list[set]:
+    return [{w for w in range(m.bit_length()) if m >> w & 1} for m in masks]
+
+
 # Group shapes placed against the split of subset masks into 16 low bits and
 # the rest; a shape is used only at the N where all its workers exist.
 _SPLIT_SHAPES = {
@@ -209,6 +237,10 @@ _SPLIT_CASES = [
     for shape, build in _SPLIT_SHAPES.items()
     if all(0 <= w < n for g in build(n) for w in g)
 ]
+
+
+# Distinct group counts on each side of the route choice, g < min(N, 16).
+_ROUTE_CASES = [(n, g) for n in (1, 5, 12, 16, 20) for g in (min(n, 16) - 1, min(n, 16))]
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +262,22 @@ class TestHarmonic:
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):
             harmonic(0)
+
+
+class TestSumFractions:
+    def test_empty_and_single(self):
+        assert analytics._sum_fractions([], []) == 0
+        assert analytics._sum_fractions([-3], [6]) == Fraction(-1, 2)
+
+    @pytest.mark.parametrize("length", [2, 3, 5, 7, 8, 9, 31, 33])
+    def test_matches_fraction_sum(self, length):
+        # odd lengths carry a term up a level; numerators of both signs cancel
+        rng = random.Random(length)
+        p = [rng.randint(-10**6, 10**6) for _ in range(length)]
+        q = [rng.randint(1, 10**4) for _ in range(length)]
+        args = (list(p), list(q))
+        assert analytics._sum_fractions(*args) == sum(map(Fraction, p, q), Fraction(0))
+        assert args == (p, q)  # the caller's lists are left as they were
 
 
 class TestStirling:
@@ -259,6 +307,24 @@ class TestStirling:
             stirling2_alternating(3, -2)
 
 
+class TestSurjections:
+    def test_power_table(self):
+        # k up to 45 passes the odd prime squares 9 and 25; 49, 121 and 169
+        # end the longer tables
+        for n in range(41):
+            for k in range(46):
+                assert analytics._powers(n, k) == [i**n for i in range(k + 1)], (n, k)
+        for n, k in [(0, 49), (1, 121), (7, 169), (40, 169)]:
+            assert analytics._powers(n, k) == [i**n for i in range(k + 1)], (n, k)
+
+    def test_matches_direct_sum(self):
+        for n in range(41):
+            for k in range(46):
+                assert analytics._surjections(n, k) == _surjections_direct(n, k), (n, k)
+        for n, k in [(2200, 220), (1000, 999), (500, 1)]:
+            assert analytics._surjections(n, k) == _surjections_direct(n, k), (n, k)
+
+
 class TestExactProbability:
     def test_normalization(self):
         p = ExactProbability(540, 729)
@@ -267,6 +333,17 @@ class TestExactProbability:
         assert p.fraction == Fraction(20, 27)
         assert p == ExactProbability(20, 27) and hash(p) == hash(ExactProbability(20, 27))
         assert repr(p) == f"ExactProbability(numerator=20, denominator=27, float_value={20 / 27!r})"
+
+    def test_repr_past_the_digit_limit(self):
+        p = coverage_probability(220, 2200)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)  # the interpreter's default
+        try:
+            text = repr(p)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert hex(p.numerator) in text and hex(p.denominator) in text
+        assert text.endswith(f"float_value={p.float_value!r})")
 
     def test_float_is_correctly_rounded(self):
         # Fraction.__float__ is correctly rounded; float_value must match it.
@@ -635,6 +712,40 @@ class TestStructureOracle:
         base = exact_expected_time_structure(structure, 6)
         for rate in (0.5, 2.0, 4.4):
             assert exact_expected_time_structure(structure, 6, rate) == base / rate
+
+
+class TestSubsetRoutes:
+    @pytest.mark.parametrize("n,g", _ROUTE_CASES)
+    def test_both_routes_match_full_mask_enumeration(self, n, g):
+        masks = _random_masks(n, g, seed=100 * n + g)
+        expected = _full_mask_counts(_mask_groups(masks), n)
+        assert analytics._subset_counts_by_union(masks, n) == expected
+        assert analytics._subset_counts_by_enumeration(masks, n) == expected
+
+    @pytest.mark.parametrize("n,g", [case for case in _ROUTE_CASES if case[1] > 0])
+    def test_route_chosen_by_distinct_groups(self, n, g, monkeypatch):
+        masks = _random_masks(n, g, seed=100 * n + g)
+        groups = _mask_groups(masks)
+        called = []
+        for name in ("_subset_counts_by_union", "_subset_counts_by_enumeration"):
+
+            def spy(m, k, route=getattr(analytics, name), name=name):
+                called.append(name)
+                return route(m, k)
+
+            monkeypatch.setattr(analytics, name, spy)
+        # a repeated group is one distinct group
+        a = incomplete_subset_counts([*groups, groups[-1]], n)
+        assert a == _full_mask_counts(groups, n)
+        union = g < min(n, 16)
+        assert called == ["_subset_counts_by_union" if union else "_subset_counts_by_enumeration"]
+
+    @pytest.mark.parametrize("b", [2, 3, 4, 6, 8, 12])
+    def test_union_route_on_cyclic_n24(self, b):
+        expected = _cyclic_counts(24, b)
+        for groups in (cyclic_layout(24, b)[1].groups, _relabelled_cyclic(24, b, seed=b)):
+            masks = {sum(1 << w for w in g) for g in groups}
+            assert analytics._subset_counts_by_union(masks, 24) == expected
 
 
 class TestVectorStructureEquivalence:
