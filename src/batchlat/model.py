@@ -343,8 +343,16 @@ def _require_counts(vector: AssignmentVector | Sequence[int]) -> tuple[int, ...]
 
 def _require_groups(
     structure: RecoveryStructure | Iterable[Iterable[int]],
+    n_workers: int | None = None,
 ) -> tuple[frozenset[int], ...]:
-    """The groups of a recovery structure or of an iterable of worker sets."""
+    """The groups of a recovery structure or of an iterable of worker sets,
+    each worker id below n_workers when that is given."""
     if isinstance(structure, RecoveryStructure):
-        return structure.groups
-    return RecoveryStructure(tuple(frozenset(g) for g in structure)).groups
+        groups = structure.groups
+    else:
+        groups = RecoveryStructure(tuple(frozenset(g) for g in structure)).groups
+    if n_workers is not None:
+        for g in groups:
+            if max(g) >= n_workers:
+                raise DomainError(f"group {sorted(g)} references a worker >= {n_workers}")
+    return groups

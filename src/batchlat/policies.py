@@ -311,9 +311,7 @@ def resolve(spec: PolicySpec, params: SystemParams) -> Plan:
                 "the grouped-overlap policy is a fixed six-worker, three-batch instance"
             )
     else:  # explicit-structure
-        for g in spec.groups:
-            if max(g) >= n:
-                raise DomainError(f"group {sorted(g)} references a worker >= {n}")
+        _require_groups(spec.groups, n)
 
     def groups() -> tuple[frozenset[int], ...]:
         return shared_pair_layout()[1].groups if spec.groups is None else spec.groups

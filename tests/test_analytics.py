@@ -19,7 +19,6 @@ from batchlat import analytics
 from batchlat.analytics import (
     MAX_BATCH_WORKER_PRODUCT,
     MAX_STRUCTURE_WORKERS,
-    MAX_SUBSET_GROUP_PRODUCT,
     ExactProbability,
     coverage_probability,
     coverage_probability_exact_n,
@@ -147,13 +146,16 @@ def _product_groups(counts) -> list[frozenset]:
 
 
 def _full_mask_counts(groups, n: int) -> tuple[int, ...]:
-    """a_k by testing every group against all 2^n subset masks in one array."""
-    masks = np.arange(1 << n, dtype=np.uint32)
-    contains = np.zeros(masks.shape, dtype=bool)
-    for g in groups:
-        gm = np.uint32(sum(1 << w for w in g))
-        contains |= (masks & gm) == gm
-    return tuple(int(c) for c in np.bincount(np.bitwise_count(masks[~contains]), minlength=n + 1))
+    """a_k by testing every group against all 2^n subset masks, 2^20 at a time."""
+    gms = [np.uint32(sum(1 << w for w in g)) for g in groups]
+    counts = np.zeros(n + 1, dtype=np.int64)
+    for start in range(0, 1 << n, 1 << 20):
+        masks = np.arange(start, min(start + (1 << 20), 1 << n), dtype=np.uint32)
+        contains = np.zeros(masks.shape, dtype=bool)
+        for gm in gms:
+            contains |= (masks & gm) == gm
+        counts += np.bincount(np.bitwise_count(masks[~contains]), minlength=n + 1)
+    return tuple(int(c) for c in counts)
 
 
 def _poly_mul(p, q):
@@ -220,8 +222,9 @@ def _mask_groups(masks) -> list[set]:
     return [{w for w in range(m.bit_length()) if m >> w & 1} for m in masks]
 
 
-# Group shapes placed against the split of subset masks into 16 low bits and
-# the rest; a shape is used only at the N where all its workers exist.
+# Group shapes placed against the closure's 6 in-word workers, the words
+# above them and the route threshold of 16; a shape is used only at the N
+# where all its workers exist.
 _SPLIT_SHAPES = {
     "low": lambda n: [{0, 1}, {1, 2, 3}, {0, 4, 5}],
     "high": lambda n: [{n - 1, n - 2}, {n - 3}],
@@ -233,14 +236,14 @@ _SPLIT_SHAPES = {
 }
 _SPLIT_CASES = [
     (n, shape)
-    for n in (1, 15, 16, 17, 20)
+    for n in (1, 6, 7, 15, 16, 17, 20)
     for shape, build in _SPLIT_SHAPES.items()
     if all(0 <= w < n for g in build(n) for w in g)
 ]
 
 
 # Distinct group counts on each side of the route choice, g < min(N, 16).
-_ROUTE_CASES = [(n, g) for n in (1, 5, 12, 16, 20) for g in (min(n, 16) - 1, min(n, 16))]
+_ROUTE_CASES = [(n, g) for n in (1, 5, 12, 16, 20, 24) for g in (min(n, 16) - 1, min(n, 16))]
 
 
 # ---------------------------------------------------------------------------
@@ -601,6 +604,9 @@ class TestStructureOracle:
     def test_subset_counts_cyclic(self):
         _, structure = cyclic_layout(6, 3)
         assert incomplete_subset_counts(structure, 6) == (1, 6, 15, 18, 9, 0, 0)
+        # a repeated group counts once
+        repeated = [*structure.groups, {0, 2, 4}]
+        assert incomplete_subset_counts(repeated, 6) == (1, 6, 15, 18, 9, 0, 0)
 
     def test_subset_counts_shared_pair(self):
         _, structure = shared_pair_layout()
@@ -617,7 +623,7 @@ class TestStructureOracle:
         assert incomplete_subset_counts(structure, 24) == expected
         assert incomplete_subset_counts(_relabelled_cyclic(24, b, seed=b), 24) == expected
 
-    @pytest.mark.parametrize("n,b", [(12, 3), (16, 4), (20, 2)])
+    @pytest.mark.parametrize("n,b", [(12, 3), (16, 4), (20, 2), (24, 4)])
     def test_replicated_matches_vector_polynomial(self, n, b):
         _, structure = replicated_nonoverlap_layout(n, b)
         expected = _vector_counts([n // b] * b)
@@ -636,6 +642,16 @@ class TestStructureOracle:
         _, structure = replicated_nonoverlap_layout(16, 4)
         assert len(structure.groups) == 256
         assert traced_peak(lambda: incomplete_subset_counts(structure, 16)) < 16 * 2**20
+
+    def test_memory_bounded_on_many_groups_n24(self, traced_peak):
+        _, structure = replicated_nonoverlap_layout(24, 4)
+        assert len(structure.groups) == 1296
+        assert traced_peak(lambda: incomplete_subset_counts(structure, 24)) < 16 * 2**20
+
+    def test_every_three_worker_group_at_n24(self):
+        groups = [set(c) for c in itertools.combinations(range(24), 3)]
+        expected = tuple(math.comb(24, k) if k < 3 else 0 for k in range(25))
+        assert incomplete_subset_counts(groups, 24) == expected
 
     def test_counts_low_orders_are_binomial(self):
         # no group fits inside fewer workers than the smallest group size
@@ -682,27 +698,6 @@ class TestStructureOracle:
         with pytest.raises(ComplexityGuardError):
             incomplete_subset_counts(groups, MAX_STRUCTURE_WORKERS + 1)
 
-    def test_group_product_guard(self):
-        # the 1296 groups of replicated (24, 4) fit; all 2024 three-worker
-        # groups at N = 24 do not, and are refused before any enumeration
-        assert len(replicated_nonoverlap_layout(24, 4)[1].groups) << 24 <= MAX_SUBSET_GROUP_PRODUCT
-        groups = [set(c) for c in itertools.combinations(range(24), 3)]
-        assert len(groups) << 24 > MAX_SUBSET_GROUP_PRODUCT
-        with pytest.raises(ComplexityGuardError):
-            incomplete_subset_counts(groups, 24)
-        with pytest.raises(ComplexityGuardError):
-            exact_expected_time_structure(groups, 24)
-
-    def test_at_group_product_limit_still_works(self, monkeypatch):
-        monkeypatch.setattr(analytics, "MAX_SUBSET_GROUP_PRODUCT", 2 << 6)
-        _, structure = cyclic_layout(6, 3)
-        assert incomplete_subset_counts(structure, 6) == (1, 6, 15, 18, 9, 0, 0)
-        # a repeated group counts once
-        repeated = [*structure.groups, {0, 2, 4}]
-        assert incomplete_subset_counts(repeated, 6) == (1, 6, 15, 18, 9, 0, 0)
-        with pytest.raises(ComplexityGuardError):
-            incomplete_subset_counts([*structure.groups, {0, 1}], 6)
-
     def test_out_of_range_worker_rejected(self):
         with pytest.raises(DomainError):
             incomplete_subset_counts([{0, 7}], 4)
@@ -720,14 +715,14 @@ class TestSubsetRoutes:
         masks = _random_masks(n, g, seed=100 * n + g)
         expected = _full_mask_counts(_mask_groups(masks), n)
         assert analytics._subset_counts_by_union(masks, n) == expected
-        assert analytics._subset_counts_by_enumeration(masks, n) == expected
+        assert analytics._subset_counts_by_closure(masks, n) == expected
 
     @pytest.mark.parametrize("n,g", [case for case in _ROUTE_CASES if case[1] > 0])
     def test_route_chosen_by_distinct_groups(self, n, g, monkeypatch):
         masks = _random_masks(n, g, seed=100 * n + g)
         groups = _mask_groups(masks)
         called = []
-        for name in ("_subset_counts_by_union", "_subset_counts_by_enumeration"):
+        for name in ("_subset_counts_by_union", "_subset_counts_by_closure"):
 
             def spy(m, k, route=getattr(analytics, name), name=name):
                 called.append(name)
@@ -738,7 +733,7 @@ class TestSubsetRoutes:
         a = incomplete_subset_counts([*groups, groups[-1]], n)
         assert a == _full_mask_counts(groups, n)
         union = g < min(n, 16)
-        assert called == ["_subset_counts_by_union" if union else "_subset_counts_by_enumeration"]
+        assert called == ["_subset_counts_by_union" if union else "_subset_counts_by_closure"]
 
     @pytest.mark.parametrize("b", [2, 3, 4, 6, 8, 12])
     def test_union_route_on_cyclic_n24(self, b):

@@ -475,12 +475,19 @@ class TestExitCodes:
         assert "error:" in capsys.readouterr().err
 
     def test_structure_guard_error(self, capsys):
-        # 2024 distinct groups at N = 24 exceed the 2^N * groups guard
+        assert main([
+            "analyze", "--policy", "explicit-structure", "-N", "25", "--groups", "0,1;2,24",
+        ]) == EXIT_GUARD
+        assert "N <= 24" in capsys.readouterr().err
+
+    def test_structure_with_many_groups(self, capsys):
+        # with every 3-worker group of 24, the job ends at the third finish
         groups = ";".join(",".join(map(str, c)) for c in itertools.combinations(range(24), 3))
         assert main([
             "analyze", "--policy", "explicit-structure", "-N", "24", "--groups", groups,
-        ]) == EXIT_GUARD
-        assert "2^N * groups" in capsys.readouterr().err
+        ]) == EXIT_OK
+        stdout = capsys.readouterr().out
+        assert _field(stdout, "expected_time") == cli._fmt(1 / 24 + 1 / 23 + 1 / 22)
 
     def test_no_coverage_error(self, capsys):
         assert main([
