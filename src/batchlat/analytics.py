@@ -27,7 +27,6 @@ from .model import (
     AssignmentVector,
     ComplexityGuardError,
     DomainError,
-    NonDivisibleError,
     RecoveryStructure,
     UncoveredBatchError,
     _require_counts,
@@ -35,6 +34,7 @@ from .model import (
     _require_nonneg_int,
     _require_positive_int,
     _require_positive_real,
+    _require_replication,
 )
 
 __all__ = [
@@ -62,11 +62,17 @@ __all__ = [
 
 #: Refuse the assignment-vector and coverage closed forms when B * N exceeds
 #: this. On a 2-vCPU Xeon under CPython 3.11 the vector route takes
-#: 0.09-0.15 s at (B, N) = (1000, 10000) and 0.35-0.56 s at (3000, 3000);
-#: coverage takes 0.45-0.65 s at (1000, 10000) and at B = N = 3162. At the
-#: same B * N, coverage slows as B falls, because reducing the B^N-sized
-#: fraction dominates: 1.3-1.7 s at (100, 100000), 33 s at (3, 3333333).
+#: 0.09-0.15 s at (B, N) = (1000, 10000) and 0.35-0.56 s at (3000, 3000).
+#: Coverage is also refused past _MAX_POWER_BITS; inside both guards its
+#: slowest shapes take 0.55-0.7 s, B = N = 3162 and (300, 31856) at the bits
+#: bound, and 0.36-0.45 s at (1000, 10000).
 MAX_BATCH_WORKER_PRODUCT = 10**7
+
+# Refuse coverage when B^N has more than this many bits, N * log2(B): reducing
+# the fraction against B^N is quadratic in its size. At the bound it takes
+# 0.06-0.08 s for B = 3 to 16 on the same Xeon; at 2^20 bits 0.9-1.8 s, and at
+# (3, 3333333), inside B * N <= 10^7, 33 s.
+_MAX_POWER_BITS = 2**18
 
 #: Refuse subset counting over more than this many workers. A structure with
 #: fewer distinct groups than min(N, 16) is counted by inclusion-exclusion
@@ -251,19 +257,34 @@ def stirling2_alternating(n: int, k: int) -> int:
     return value
 
 
+def _coverable(n_batches: int, n_workers: int) -> bool:
+    """Whether N draws can cover all B batches, B <= N, after the checks both
+    coverage forms share; only then do the size guards apply."""
+    _require_positive_int(n_batches, "n_batches")
+    _require_positive_int(n_workers, "n_workers")
+    if n_batches > n_workers:
+        return False
+    _require_batch_worker_product(n_batches, n_workers, "the surjection sum")
+    if n_workers * math.log2(n_batches) > _MAX_POWER_BITS:
+        raise ComplexityGuardError(
+            f"coverage over B={n_batches} batches and N={n_workers} workers exceeds the N*log2(B)"
+            f" <= {_MAX_POWER_BITS} guard on the bits of B^N; estimate by Monte Carlo instead"
+        )
+    return True
+
+
 def coverage_probability(n_batches: int, n_workers: int) -> ExactProbability:
     """Probability that N uniform with-replacement batch draws hit all B batches.
 
     Exactly B! * S(N, B) / B^N: the number of surjections from workers onto
     batches, counted by the alternating sum, over the number of assignment
     outcomes. Returns exact zero when B > N (too few draws to cover), and
-    raises ComplexityGuardError when B * N exceeds MAX_BATCH_WORKER_PRODUCT.
+    raises ComplexityGuardError when B * N exceeds MAX_BATCH_WORKER_PRODUCT
+    or B^N has more than 2^18 bits, a bound that is conservative at B = 2,
+    where the reduction of the fraction takes one gcd step.
     """
-    _require_positive_int(n_batches, "n_batches")
-    _require_positive_int(n_workers, "n_workers")
-    if n_batches > n_workers:
+    if not _coverable(n_batches, n_workers):
         return ExactProbability(0, 1)
-    _require_batch_worker_product(n_batches, n_workers, "the surjection sum")
     return ExactProbability(_surjections(n_workers, n_batches), n_batches**n_workers)
 
 
@@ -274,23 +295,15 @@ def coverage_probability_exact_n(n_batches: int, n_workers: int) -> ExactProbabi
     draws onto B-1 batches over B^N. Summing over N = B..M telescopes to
     coverage_probability(B, M). Guarded like coverage_probability.
     """
-    _require_positive_int(n_batches, "n_batches")
-    _require_positive_int(n_workers, "n_workers")
-    if n_batches > n_workers:
+    if not _coverable(n_batches, n_workers):
         return ExactProbability(0, 1)
-    _require_batch_worker_product(n_batches, n_workers, "the surjection sum")
     num = n_batches * _surjections(n_workers - 1, n_batches - 1)
     return ExactProbability(num, n_batches**n_workers)
 
 
 def expected_time_balanced_rational(n_workers: int, n_batches: int) -> Fraction:
     """Exact rate-1 expected completion time of the balanced assignment, (B/N)*H_B."""
-    _require_positive_int(n_workers, "n_workers")
-    _require_positive_int(n_batches, "n_batches")
-    if n_workers % n_batches != 0:
-        raise NonDivisibleError(
-            f"balanced assignment needs n_batches={n_batches} dividing n_workers={n_workers}"
-        )
+    _require_replication(n_workers, n_batches, "balanced assignment")
     return Fraction(n_batches, n_workers) * harmonic(n_batches)
 
 
@@ -372,13 +385,7 @@ def expected_time_cyclic_rational(n_workers: int, n_batches: int) -> Fraction:
     yields sum_{j=1..G} (-1)^(j+1) C(G, j) H_{jB}, that is sum_{k=1..N}
     d_{ceil(k/B)} / k with d_t = sum_{j>=t} (-1)^(j+1) C(G, j) = (-1)^(t+1) C(G-1, t-1).
     """
-    _require_positive_int(n_workers, "n_workers")
-    _require_positive_int(n_batches, "n_batches")
-    if n_workers % n_batches != 0:
-        raise NonDivisibleError(
-            f"cyclic layout needs n_batches={n_batches} dividing n_workers={n_workers}"
-        )
-    n_groups = n_workers // n_batches
+    n_groups = _require_replication(n_workers, n_batches, "cyclic layout")
     # Sum the B terms 1/k that share d_{t+1} first, in small integers, as row t
     # of the column-major table of k = t*B + i; only G sums meet the G-bit d_t.
     ks = [k for i in range(1, n_batches + 1) for k in range(i, n_workers + 1, n_batches)]

@@ -187,12 +187,7 @@ def _thread_count() -> int:
     raw = os.environ.get(THREADS_ENV_VAR)
     if raw is None:
         return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise DomainError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise DomainError(f"{THREADS_ENV_VAR} must be >= 1, got {value}")
+    value = _require_positive_int(_parsed(raw, int), THREADS_ENV_VAR)
     if value > _MAX_THREADS:
         raise DomainError(f"{THREADS_ENV_VAR} must be <= {_MAX_THREADS}, got {value}")
     return value
@@ -231,12 +226,8 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
             "seed": cfg.seed,
         }
 
-    threads = _thread_count()
-    if threads == 1:
-        rows = [evaluate(i) for i in range(len(points))]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(evaluate, range(len(points))))
+    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
+        rows = list(pool.map(evaluate, range(len(points))))
     _write_table(spec.output_path, spec.format, _SWEEP_COLUMNS, rows)
     return rows
 

@@ -12,6 +12,7 @@ integers everywhere, including external formats.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
@@ -81,6 +82,17 @@ def _require_sample_count(value: object, name: str) -> int:
     if value > _MAX_SAMPLES:
         raise DomainError(f"{name} must be at most 2^53, got {value}")
     return value
+
+
+def _require_replication(n_workers: object, n_batches: object, layout: str) -> int:
+    """N/B for a layout that gives each of the B batches N/B workers, so B | N."""
+    _require_positive_int(n_workers, "n_workers")
+    _require_positive_int(n_batches, "n_batches")
+    if n_workers % n_batches != 0:
+        raise NonDivisibleError(
+            f"{layout} needs n_batches={n_batches} dividing n_workers={n_workers}"
+        )
+    return n_workers // n_batches
 
 
 def _require_list(
@@ -249,18 +261,21 @@ class RecoveryStructure:
     groups: tuple[frozenset[int], ...]
 
     def __post_init__(self) -> None:
-        raw = tuple(self.groups)
-        if len(raw) == 0:
+        groups = tuple(map(frozenset, self.groups))
+        if len(groups) == 0:
             raise DomainError("recovery structure must have at least one group")
-        norm: list[frozenset[int]] = []
-        for i, group in enumerate(raw):
-            fs = frozenset(group)
-            if not fs:
-                raise DomainError(f"group {i} is empty")
-            for w in fs:
+        empty = groups.index(frozenset()) if frozenset() in groups else len(groups)
+        try:  # a non-int equal to an id, such as 1.0 beside 1, would hide in the union
+            if not set(map(type, itertools.chain.from_iterable(groups[:empty]))) <= {int}:
+                raise DomainError
+            for w in frozenset().union(*groups[:empty]):
                 _require_nonneg_int(w, "worker id")
-            norm.append(fs)
-        object.__setattr__(self, "groups", tuple(norm))
+        except DomainError:  # name the first bad id in group order instead
+            for w in itertools.chain.from_iterable(groups):
+                _require_nonneg_int(w, "worker id")
+        if empty < len(groups):
+            raise DomainError(f"group {empty} is empty")
+        object.__setattr__(self, "groups", groups)
 
     @property
     def n_groups(self) -> int:
@@ -347,12 +362,10 @@ def _require_groups(
 ) -> tuple[frozenset[int], ...]:
     """The groups of a recovery structure or of an iterable of worker sets,
     each worker id below n_workers when that is given."""
-    if isinstance(structure, RecoveryStructure):
-        groups = structure.groups
-    else:
-        groups = RecoveryStructure(tuple(frozenset(g) for g in structure)).groups
-    if n_workers is not None:
-        for g in groups:
-            if max(g) >= n_workers:
-                raise DomainError(f"group {sorted(g)} references a worker >= {n_workers}")
+    if not isinstance(structure, RecoveryStructure):
+        structure = RecoveryStructure(tuple(structure))
+    groups = structure.groups
+    if n_workers is not None and max(frozenset().union(*groups)) >= n_workers:
+        bad = next(g for g in groups if max(g) >= n_workers)
+        raise DomainError(f"group {sorted(bad)} references a worker >= {n_workers}")
     return groups

@@ -34,6 +34,7 @@ from .model import (
     _require_counts,
     _require_groups,
     _require_positive_int,
+    _require_replication,
 )
 
 __all__ = [
@@ -53,14 +54,6 @@ __all__ = [
 #: Refuse to materialize replicated-layout recovery structures beyond this
 #: many groups; the assignment-vector form covers those cases compactly.
 MAX_REPLICATED_GROUPS = 4096
-
-
-def _require_batch_size(params: SystemParams) -> None:
-    """B | S: every batch holds a whole number of blocks."""
-    if params.n_blocks % params.n_batches != 0:
-        raise NonDivisibleError(
-            f"n_batches={params.n_batches} must divide n_blocks={params.n_blocks}"
-        )
 
 
 class PolicyKind(str, Enum):
@@ -136,13 +129,8 @@ class PolicySpec:
 
 def balanced_assignment(n_workers: int, n_batches: int) -> AssignmentVector:
     """The unique balanced vector: every one of the B batches gets N/B workers."""
-    _require_positive_int(n_workers, "n_workers")
-    _require_positive_int(n_batches, "n_batches")
-    if n_workers % n_batches != 0:
-        raise NonDivisibleError(
-            f"balanced assignment needs n_batches={n_batches} dividing n_workers={n_workers}"
-        )
-    return AssignmentVector((n_workers // n_batches,) * n_batches)
+    replication = _require_replication(n_workers, n_batches, "balanced assignment")
+    return AssignmentVector((replication,) * n_batches)
 
 
 def random_cc_assignment(
@@ -174,8 +162,7 @@ def cyclic_layout(n_workers: int, n_batches: int) -> tuple[BatchLayout, Recovery
     sets {r, r + N/B, r + 2N/B, ...}; each group's windows tile the block
     set exactly.
     """
-    _require_batch_size(SystemParams(n_workers, n_workers, n_batches))
-    size = n_workers // n_batches
+    size = _require_replication(n_workers, n_batches, "cyclic layout")
     batches = tuple(
         frozenset((w + j) % n_workers for j in range(size)) for w in range(n_workers)
     )
@@ -223,12 +210,11 @@ def replicated_nonoverlap_layout(
     Materializing the groups is refused beyond MAX_REPLICATED_GROUPS; use
     the assignment-vector form for larger systems.
     """
-    _require_batch_size(SystemParams(n_workers, n_workers, n_batches))
-    replication = n_workers // n_batches
-    size = n_workers // n_batches
+    replication = _require_replication(n_workers, n_batches, "replicated layout")
     batches = tuple(
-        frozenset(range((w // replication) * size, (w // replication + 1) * size))
-        for w in range(n_workers)
+        frozenset(range(start, start + replication))
+        for start in range(0, n_workers, replication)
+        for _ in range(replication)
     )
     n_groups = replication**n_batches
     if n_groups > MAX_REPLICATED_GROUPS:
@@ -275,7 +261,8 @@ def resolve(spec: PolicySpec, params: SystemParams) -> Plan:
     if not isinstance(params, SystemParams):
         raise DomainError(f"expected SystemParams, got {params!r}")
     kind, n, b = spec.kind, params.n_workers, params.n_batches
-    _require_batch_size(params)
+    if params.n_blocks % b != 0:  # every batch holds a whole number of blocks
+        raise NonDivisibleError(f"n_batches={b} must divide n_blocks={params.n_blocks}")
     if kind in (PolicyKind.CYCLIC, PolicyKind.GROUPED_OVERLAP) and params.n_blocks != n:
         raise DomainError(
             "overlapping batching requires n_blocks == n_workers, got "

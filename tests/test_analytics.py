@@ -432,6 +432,21 @@ class TestCoverage:
             with pytest.raises(ComplexityGuardError):
                 route(3, 7)
 
+    def test_power_bits_guard(self):
+        """B^N is refused past 2^18 bits, inside B * N <= 10^7 too."""
+        routes = (coverage_probability, coverage_probability_exact_n)
+        assert analytics._MAX_POWER_BITS == 2**18
+        n = 2**18
+        assert coverage_probability(2, n).fraction == 1 - Fraction(2, 2**n)
+        assert coverage_probability_exact_n(2, n).fraction == Fraction(2, 2**n)
+        assert coverage_probability(16, 2**16).float_value == 1.0
+        assert coverage_probability(220, 2200).float_value > 0.99
+        for b, n in ((2, 2**18 + 1), (16, 2**16 + 1), (10, 10**6), (3, 3333333)):
+            assert b * n <= MAX_BATCH_WORKER_PRODUCT
+            for route in routes:
+                with pytest.raises(ComplexityGuardError, match=r"N\*log2\(B\) <= 262144"):
+                    route(b, n)
+
 
 class TestBalanced:
     def test_known_value(self):

@@ -367,6 +367,9 @@ class TestCoverageCommand:
     def test_guard_error(self, capsys):
         assert main(["coverage", "-B", "11", "-N", "909091"]) == EXIT_GUARD
         assert "B*N" in capsys.readouterr().err
+        for b, n in (("3", "3333333"), ("10", "1000000")):
+            assert main(["coverage", "-B", b, "-N", n, "--mode", "exact"]) == EXIT_GUARD
+            assert "N*log2(B) <= 262144" in capsys.readouterr().err
 
     def test_out_file(self, tmp_path, capsys):
         out = tmp_path / "cov.csv"

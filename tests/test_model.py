@@ -1,10 +1,12 @@
 """Domain-type invariants: construction-time validation and error taxonomy."""
 
 import dataclasses
+import itertools
 import math
 
 import pytest
 
+from batchlat import model
 from batchlat.model import (
     AssignmentVector,
     BatchLayout,
@@ -14,6 +16,7 @@ from batchlat.model import (
     NonPositiveError,
     RecoveryStructure,
     SystemParams,
+    _require_groups,
 )
 from batchlat.policies import PolicyKind, PolicySpec, cyclic_layout, resolve
 
@@ -152,6 +155,33 @@ class TestRecoveryStructure:
     def test_no_groups_rejected(self):
         with pytest.raises(DomainError):
             RecoveryStructure(())
+
+    def test_each_worker_id_checked_once(self, monkeypatch):
+        checked = []
+        require = model._require_nonneg_int
+        monkeypatch.setattr(
+            model, "_require_nonneg_int", lambda v, name: checked.append(v) or require(v, name)
+        )
+        groups = [frozenset(g) for g in itertools.combinations(range(12), 4)]  # 495 groups
+        RecoveryStructure(groups)
+        assert sorted(checked) == list(range(12))
+
+    def test_first_fault_is_named(self):
+        groups = [frozenset(g) for g in itertools.combinations(range(12), 4)]
+        with pytest.raises(DomainError, match="^group 495 is empty$"):
+            RecoveryStructure([*groups, (), {-1}, ()])
+        with pytest.raises(DomainError, match="got -2$"):
+            RecoveryStructure([*groups, {3, -2}, (), {-1}, {True}])
+        with pytest.raises(DomainError, match="got True$"):
+            RecoveryStructure([*groups, {True}, {-1}])
+        for alias in (True, 1.0):  # equal to worker 1, which the union already holds
+            with pytest.raises(DomainError, match=f"got {alias}$"):
+                RecoveryStructure([*groups, {alias}])
+        over = [*groups, {0, 20}, {1, 2}, {30}]
+        for structure in (over, RecoveryStructure(over)):
+            with pytest.raises(DomainError, match=r"^group \[0, 20\] references a worker >= 12$"):
+                _require_groups(structure, 12)
+        assert _require_groups(over, 31) == RecoveryStructure(over).groups
 
     def test_validate_partitions_accepts_cyclic(self):
         layout, structure = cyclic_layout(6, 3)

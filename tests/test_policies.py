@@ -12,7 +12,9 @@ from batchlat.analytics import (
     exact_expected_time_structure,
     expected_time_assignment,
     expected_time_balanced,
+    expected_time_balanced_rational,
     expected_time_cyclic,
+    expected_time_cyclic_rational,
     expected_time_structure_rational,
     harmonic,
 )
@@ -22,6 +24,7 @@ from batchlat.model import (
     ComplexityGuardError,
     DomainError,
     NonDivisibleError,
+    NonPositiveError,
     SystemParams,
 )
 from batchlat.policies import (
@@ -156,6 +159,26 @@ class TestReplicatedLayout:
     def test_nondivisible_rejected(self):
         with pytest.raises(NonDivisibleError):
             replicated_nonoverlap_layout(10, 4)
+
+
+@pytest.mark.parametrize("route, layout", [
+    (balanced_assignment, "balanced assignment"),
+    (expected_time_balanced_rational, "balanced assignment"),
+    (expected_time_balanced, "balanced assignment"),
+    (cyclic_layout, "cyclic layout"),
+    (expected_time_cyclic_rational, "cyclic layout"),
+    (expected_time_cyclic, "cyclic layout"),
+    (replicated_nonoverlap_layout, "replicated layout"),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_b_divides_n_rule(route, layout):
+    """Every layout that gives each batch N/B workers refuses B not dividing N
+    in one wording, after both counts are found positive, n_workers first."""
+    with pytest.raises(NonDivisibleError, match=f"^{layout} needs n_batches=4 dividing n_workers=6$"):
+        route(6, 4)
+    with pytest.raises(NonPositiveError, match="^n_workers must be positive, got -6$"):
+        route(-6, 0)
+    with pytest.raises(NonPositiveError, match="^n_batches must be positive, got -4$"):
+        route(6, -4)
 
 
 def _exact_covers(layout: BatchLayout) -> set[frozenset[int]]:
