@@ -37,7 +37,6 @@ from .policies import (
     PolicySpec,
     balanced_assignment,
     cyclic_layout,
-    random_cc_assignment,
     replicated_nonoverlap_layout,
     shared_pair_layout,
     validate_policy,
@@ -88,7 +87,6 @@ __all__ = [
     "is_balanced_minimal",
     "majorizes",
     "monte_carlo",
-    "random_cc_assignment",
     "rearranged",
     "replicated_nonoverlap_layout",
     "shared_pair_layout",

@@ -74,6 +74,19 @@ MAX_BATCH_WORKER_PRODUCT = 10**7
 # (3, 3333333), inside B * N <= 10^7, 33 s.
 _MAX_POWER_BITS = 2**18
 
+# Refuse H_n past this n; the cyclic form sums the same N unit fractions, so
+# it is refused past N = this as well. Merging the n fractions and reducing
+# the result grow about quadratically in n: on a 2-vCPU Xeon H_n takes
+# 0.26-0.35 s at n = 10^5, 0.95 s at 2 * 10^5 and 20 s at 10^6.
+_MAX_HARMONIC_TERMS = 10**5
+
+# Refuse the cyclic form past this many groups G = N/B: its coefficients d_t
+# are G integers of up to G bits, so memory grows with G^2. On the same Xeon,
+# (N, B) = (20000, 1) takes 0.38 s and 150 MB, (40000, 1) 1.6 s and 484 MB and
+# (100000, 1) 10.4 s and 2.8 GB. The slowest accepted shape, (100000, 10),
+# takes 0.47-0.57 s and 73 MB; (400000, 100), with G = 4000, took 3.6 s.
+_MAX_CYCLIC_GROUPS = 10**4
+
 #: Refuse subset counting over more than this many workers. A structure with
 #: fewer distinct groups than min(N, 16) is counted by inclusion-exclusion
 #: over its at most 2^15 group unions, 0.1-0.3 ms for a cyclic layout at
@@ -187,9 +200,15 @@ def harmonic(n: int) -> Fraction:
 
     Returned as a Fraction, which serves as both the exact rational and,
     via float(), the real value. H_n is the expected maximum of n
-    independent unit-rate exponential variables.
+    independent unit-rate exponential variables. Raises
+    ComplexityGuardError past n = 10^5.
     """
     _require_positive_int(n, "n")
+    if n > _MAX_HARMONIC_TERMS:
+        raise ComplexityGuardError(
+            f"harmonic number H_{n} exceeds the n <= {_MAX_HARMONIC_TERMS} guard; "
+            "estimate by Monte Carlo instead"
+        )
     return _sum_fractions([1] * n, list(range(1, n + 1)))
 
 
@@ -384,8 +403,15 @@ def expected_time_cyclic_rational(n_workers: int, n_batches: int) -> Fraction:
     survival function (1 - (1 - e^-t)^B)^G by the substitution u = e^-t
     yields sum_{j=1..G} (-1)^(j+1) C(G, j) H_{jB}, that is sum_{k=1..N}
     d_{ceil(k/B)} / k with d_t = sum_{j>=t} (-1)^(j+1) C(G, j) = (-1)^(t+1) C(G-1, t-1).
+    Raises ComplexityGuardError past N = 10^5 or G = 10^4.
     """
     n_groups = _require_replication(n_workers, n_batches, "cyclic layout")
+    if n_workers > _MAX_HARMONIC_TERMS or n_groups > _MAX_CYCLIC_GROUPS:
+        raise ComplexityGuardError(
+            f"cyclic layout over N={n_workers} workers in G={n_groups} groups exceeds the "
+            f"N <= {_MAX_HARMONIC_TERMS} and G <= {_MAX_CYCLIC_GROUPS} guard; "
+            "estimate by Monte Carlo instead"
+        )
     # Sum the B terms 1/k that share d_{t+1} first, in small integers, as row t
     # of the column-major table of k = t*B + i; only G sums meet the G-bit d_t.
     ks = [k for i in range(1, n_batches + 1) for k in range(i, n_workers + 1, n_batches)]

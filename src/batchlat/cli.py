@@ -45,7 +45,6 @@ from .model import (
     ComplexityGuardError,
     DomainError,
     NoCoverageError,
-    SystemParams,
     UncoveredBatchError,
     _require_counts,
     _require_groups,
@@ -60,10 +59,7 @@ from .policies import (
     PolicyKind,
     PolicySpec,
     balanced_assignment,
-    cyclic_layout,
-    replicated_nonoverlap_layout,
     resolve,
-    shared_pair_layout,
     validate_policy,
 )
 from .sim import SimConfig, coverage_empirical, derive_seed, monte_carlo
@@ -496,19 +492,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_compare_policies(args: argparse.Namespace) -> int:
     """The fixed N = S = 6, B = 3 three-way comparison of overlapping policies."""
     _require_ci_samples(args.samples)
-    system = SystemParams(6, 6, 3, args.rate)
     cfgs = {
         label: SimConfig(
             n_samples=args.samples,
             seed=derive_seed(args.seed, index),
             rate=args.rate,
-            policy=PolicySpec(PolicyKind.EXPLICIT_STRUCTURE, groups=layout[1].groups),
-            system=system,
+            policy=PolicySpec(kind),
+            system=kind.system(6, 3, args.rate),
         )
-        for index, (label, layout) in enumerate((
-            ("cyclic", cyclic_layout(6, 3)),
-            ("grouped-overlap", shared_pair_layout()),
-            ("replicated", replicated_nonoverlap_layout(6, 3)),
+        for index, (label, kind) in enumerate((
+            ("cyclic", PolicyKind.CYCLIC),
+            ("grouped-overlap", PolicyKind.GROUPED_OVERLAP),
+            # the max over batches of replica minima is the min over the
+            # replicated layout's groups of group maxima, trial by trial
+            ("replicated", PolicyKind.BALANCED),
         ))
     }
     exacts = {label: cfg.plan.exact(args.rate) for label, cfg in cfgs.items()}

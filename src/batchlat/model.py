@@ -129,16 +129,6 @@ class SystemParams:
         _require_positive_int(self.n_batches, "n_batches")
         _require_positive_real(self.rate, "rate")
 
-    @property
-    def batch_size(self) -> int:
-        """Blocks per batch (meaningful once B | S, which ``resolve`` checks)."""
-        return self.n_blocks // self.n_batches
-
-    @property
-    def replication(self) -> int:
-        """Workers per batch under uniform assignment, N/B."""
-        return self.n_workers // self.n_batches
-
 
 @dataclass(frozen=True)
 class AssignmentVector:
@@ -146,7 +136,7 @@ class AssignmentVector:
 
     Entry i is the number of workers holding batch i. Zero entries are legal
     (a random draw may leave a batch unselected) but such a vector cannot
-    complete the job; see :attr:`covers_all_batches`.
+    complete the job.
     """
 
     counts: tuple[int, ...]
@@ -156,19 +146,6 @@ class AssignmentVector:
         if len(counts) == 0:
             raise DomainError("assignment vector must have at least one batch")
         object.__setattr__(self, "counts", counts)
-
-    @property
-    def n_workers(self) -> int:
-        return sum(self.counts)
-
-    @property
-    def n_batches(self) -> int:
-        return len(self.counts)
-
-    @property
-    def covers_all_batches(self) -> bool:
-        """True when every batch has at least one worker, so the job can finish."""
-        return all(c >= 1 for c in self.counts)
 
 
 @dataclass(frozen=True)
@@ -233,20 +210,6 @@ class BatchLayout:
     def n_workers(self) -> int:
         return len(self.batches)
 
-    @property
-    def batch_size(self) -> int:
-        return len(self.batches[0])
-
-    @property
-    def n_batches(self) -> int:
-        """Number of distinct batch positions, S / batch_size."""
-        return self.n_blocks // self.batch_size
-
-    @property
-    def replication(self) -> int:
-        """How many workers hold each block."""
-        return self.n_workers * self.batch_size // self.n_blocks
-
 
 @dataclass(frozen=True)
 class RecoveryStructure:
@@ -276,21 +239,6 @@ class RecoveryStructure:
         if empty < len(groups):
             raise DomainError(f"group {empty} is empty")
         object.__setattr__(self, "groups", groups)
-
-    @property
-    def n_groups(self) -> int:
-        return len(self.groups)
-
-    def workers(self) -> frozenset[int]:
-        """All workers referenced by at least one group."""
-        out: set[int] = set()
-        for g in self.groups:
-            out |= g
-        return frozenset(out)
-
-    def unused_workers(self, n_workers: int) -> frozenset[int]:
-        """Workers in no group: dead weight, permitted but worth flagging."""
-        return frozenset(range(n_workers)) - self.workers()
 
     def validate_partitions(self, layout: BatchLayout) -> None:
         """Require each group's batches to exactly partition the block set.

@@ -20,8 +20,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from . import analytics
 from .model import (
     AssignmentVector,
@@ -33,7 +31,6 @@ from .model import (
     SystemParams,
     _require_counts,
     _require_groups,
-    _require_positive_int,
     _require_replication,
 )
 
@@ -43,7 +40,6 @@ __all__ = [
     "Plan",
     "MAX_REPLICATED_GROUPS",
     "balanced_assignment",
-    "random_cc_assignment",
     "cyclic_layout",
     "shared_pair_layout",
     "replicated_nonoverlap_layout",
@@ -131,27 +127,6 @@ def balanced_assignment(n_workers: int, n_batches: int) -> AssignmentVector:
     """The unique balanced vector: every one of the B batches gets N/B workers."""
     replication = _require_replication(n_workers, n_batches, "balanced assignment")
     return AssignmentVector((replication,) * n_batches)
-
-
-def random_cc_assignment(
-    n_workers: int, n_batches: int, rng: np.random.Generator
-) -> AssignmentVector:
-    """Each worker draws a batch uniformly with replacement; returns the counts.
-
-    Entries may be zero: there is a non-zero probability that some batch is
-    never drawn, in which case the resulting vector cannot complete a job.
-    The caller owns the generator; this function draws exactly n_workers
-    uniforms from it.
-    """
-    _require_positive_int(n_workers, "n_workers")
-    _require_positive_int(n_batches, "n_batches")
-    # floor(u * B) with the top value clipped; u < 1, so the clip only
-    # guards the rounding edge of the multiply.
-    ids = np.minimum(
-        (rng.random(n_workers) * n_batches).astype(np.int64), n_batches - 1
-    )
-    counts = np.bincount(ids, minlength=n_batches)
-    return AssignmentVector(tuple(int(c) for c in counts))
 
 
 def cyclic_layout(n_workers: int, n_batches: int) -> tuple[BatchLayout, RecoveryStructure]:

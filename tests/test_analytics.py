@@ -9,6 +9,7 @@ import itertools
 import math
 import random
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -265,6 +266,26 @@ class TestHarmonic:
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):
             harmonic(0)
+
+    def test_size_guard(self, monkeypatch):
+        """H_n is refused past n = 10^5, before any work."""
+        assert analytics._MAX_HARMONIC_TERMS == 10**5
+        for n in (10**5 + 1, 10**6):
+            start = time.perf_counter()
+            with pytest.raises(ComplexityGuardError, match=(
+                rf"^harmonic number H_{n} exceeds the n <= 100000 guard; "
+                "estimate by Monte Carlo instead$"
+            )):
+                harmonic(n)
+            assert time.perf_counter() - start < 0.1
+        # the guard is inclusive, and the balanced form goes through it
+        monkeypatch.setattr(analytics, "_MAX_HARMONIC_TERMS", 6)
+        assert harmonic(6) == Fraction(49, 20)
+        assert expected_time_balanced_rational(12, 6) == Fraction(49, 40)
+        with pytest.raises(ComplexityGuardError):
+            harmonic(7)
+        with pytest.raises(ComplexityGuardError):
+            expected_time_balanced_rational(7, 7)
 
 
 class TestSumFractions:
@@ -608,6 +629,28 @@ class TestCyclic:
     def test_divisibility_required(self):
         with pytest.raises(DomainError):
             expected_time_cyclic_rational(10, 3)
+
+    def test_size_guard(self, monkeypatch):
+        """Refused past N = 10^5 workers or G = N/B = 10^4 groups, before any work."""
+        assert analytics._MAX_CYCLIC_GROUPS == 10**4
+        for n, b in ((10**5, 1), (10**4 + 1, 1), (100_010, 10), (4 * 10**5, 100)):
+            start = time.perf_counter()
+            with pytest.raises(ComplexityGuardError, match=(
+                rf"^cyclic layout over N={n} workers in G={n // b} groups exceeds the "
+                r"N <= 100000 and G <= 10000 guard; estimate by Monte Carlo instead$"
+            )):
+                expected_time_cyclic_rational(n, b)
+            assert time.perf_counter() - start < 0.1
+        # G at its bound: the minimum of 10^4 exponentials
+        assert expected_time_cyclic_rational(10**4, 1) == Fraction(1, 10**4)
+        # both bounds are inclusive
+        want = expected_time_cyclic_rational(12, 4)
+        monkeypatch.setattr(analytics, "_MAX_HARMONIC_TERMS", 12)
+        monkeypatch.setattr(analytics, "_MAX_CYCLIC_GROUPS", 3)
+        assert expected_time_cyclic_rational(12, 4) == want
+        for n, b in ((14, 7), (12, 3)):
+            with pytest.raises(ComplexityGuardError):
+                expected_time_cyclic_rational(n, b)
 
     def test_rate_scaling_exact_in_float(self):
         base = expected_time_cyclic(12, 4)

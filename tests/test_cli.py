@@ -99,6 +99,14 @@ class TestSweepSpec:
         with pytest.raises(DomainError):
             SweepSpec(format="yaml")
 
+    def test_output_path_must_be_a_string(self):
+        with pytest.raises(DomainError, match="^output_path must be a non-empty string, got 5$"):
+            SweepSpec(output_path=5)
+
+    def test_config_must_be_an_object(self):
+        with pytest.raises(DomainError, match="^sweep config must be an object, got list$"):
+            SweepSpec.from_dict([{"seed": 1}])
+
     def test_empty_rates(self):
         with pytest.raises(DomainError):
             SweepSpec(rates=())
@@ -308,6 +316,15 @@ class TestSimulateCommand:
         assert abs(coverage - p) < 4 * math.sqrt(p * (1 - p) / 20000)
         assert "exact:" not in stdout
 
+    def test_guarded_exact_is_left_out(self, capsys):
+        assert main([
+            "simulate", "--policy", "explicit-structure", "-N", "25", "--groups", "0,1;2,3",
+            "--samples", "1000", "--seed", "0",
+        ]) == EXIT_OK
+        stdout = capsys.readouterr().out
+        assert _field(stdout, "n_workers") == "25"
+        assert "exact:" not in stdout and "within_ci:" not in stdout
+
     def test_too_few_samples(self):
         assert main([
             "simulate", "--policy", "balanced", "-N", "6", "-B", "3", "--samples", "999",
@@ -482,6 +499,28 @@ class TestExitCodes:
             "analyze", "--policy", "explicit-structure", "-N", "25", "--groups", "0,1;2,24",
         ]) == EXIT_GUARD
         assert "N <= 24" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, guard", [
+        (["--policy", "cyclic", "-N", "100000", "-B", "1"], "N <= 100000 and G <= 10000"),
+        (["--policy", "balanced", "-N", "200000", "-B", "200000"], "n <= 100000"),
+    ], ids=["cyclic", "balanced"])
+    def test_closed_form_guard_error(self, argv, guard, capsys):
+        assert main(["analyze", *argv]) == EXIT_GUARD
+        assert guard in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--policy", "explicit-vector", "--vector", "3,2,1", "-N", "7"],
+         "--n-workers 7 contradicts the vector total 6"),
+        (["--policy", "explicit-vector", "--vector", "3,2,1", "-B", "2"],
+         "--n-batches 2 contradicts the vector length 3"),
+        (["--policy", "explicit-structure", "--groups", "0,1"],
+         "--n-workers is required for explicit-structure"),
+        (["--policy", "balanced", "-N", "6"],
+         "--n-workers and --n-batches are required for balanced"),
+    ], ids=["vector-total", "vector-length", "structure-without-n", "balanced-without-b"])
+    def test_shape_refused(self, argv, message, capsys):
+        assert main(["analyze", *argv]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_structure_with_many_groups(self, capsys):
         # with every 3-worker group of 24, the job ends at the third finish

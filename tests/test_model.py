@@ -24,8 +24,8 @@ from batchlat.policies import PolicyKind, PolicySpec, cyclic_layout, resolve
 class TestSystemParams:
     def test_fields_and_derived(self):
         p = SystemParams(6, 6, 3, 1.0)
-        assert p.batch_size == 2
-        assert p.replication == 2
+        assert p.n_blocks // p.n_batches == 2
+        assert p.n_workers // p.n_batches == 2
 
     @pytest.mark.parametrize("kwargs", [
         dict(n_workers=0, n_blocks=6, n_batches=3),
@@ -89,13 +89,13 @@ class TestAssignmentVector:
     def test_counts_normalized_to_tuple(self):
         v = AssignmentVector([2, 2, 2])
         assert v.counts == (2, 2, 2)
-        assert v.n_workers == 6
-        assert v.n_batches == 3
+        assert sum(v.counts) == 6
+        assert len(v.counts) == 3
 
     def test_zero_counts_allowed_but_flagged(self):
         v = AssignmentVector((2, 0, 4))
-        assert not v.covers_all_batches
-        assert AssignmentVector((1, 1)).covers_all_batches
+        assert not all(v.counts)
+        assert all(AssignmentVector((1, 1)).counts)
 
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
@@ -114,9 +114,9 @@ class TestBatchLayout:
     def test_valid_layout(self):
         layout = BatchLayout(({0, 1}, {1, 2}, {2, 3}, {3, 0}), n_blocks=4)
         assert layout.n_workers == 4
-        assert layout.batch_size == 2
-        assert layout.n_batches == 2
-        assert layout.replication == 2
+        assert len(layout.batches[0]) == 2
+        assert layout.n_blocks // len(layout.batches[0]) == 2
+        assert sum(0 in batch for batch in layout.batches) == 2
 
     def test_duplicate_block_in_batch_rejected(self):
         with pytest.raises(DomainError):
@@ -139,14 +139,25 @@ class TestBatchLayout:
         with pytest.raises(NonDivisibleError):
             BatchLayout(({0, 1}, {1, 2}, {2, 0}), n_blocks=3)
 
+    @pytest.mark.parametrize("batches, error, message", [
+        ((), DomainError, "layout must have at least one worker batch"),
+        (({0, 1}, set()), DomainError, "batch of worker 1 is empty"),
+        (({0, 1.5}, {2, 3}), DomainError, "block ids must be integers, got 1.5"),
+        (({0, 1}, {1, 2}, {2, 3}), NonDivisibleError,
+         r"total block slots must be a multiple of n_blocks \(got 3 batches of size 2 over 4 blocks\)"),
+    ], ids=["no-batches", "empty-batch", "non-int-id", "slots"])
+    def test_refused(self, batches, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            BatchLayout(batches, n_blocks=4)
+
 
 class TestRecoveryStructure:
     def test_groups_normalized(self):
         rs = RecoveryStructure(([0, 2, 4], [1, 3, 5]))
         assert rs.groups == (frozenset({0, 2, 4}), frozenset({1, 3, 5}))
-        assert rs.n_groups == 2
-        assert rs.workers() == frozenset(range(6))
-        assert rs.unused_workers(8) == frozenset({6, 7})
+        assert len(rs.groups) == 2
+        assert frozenset().union(*rs.groups) == frozenset(range(6))
+        assert frozenset(range(8)) - frozenset().union(*rs.groups) == frozenset({6, 7})
 
     def test_empty_group_rejected(self):
         with pytest.raises(DomainError):

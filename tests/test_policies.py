@@ -1,14 +1,11 @@
 """Policy constructors: literal layouts, invariants, and payload validation."""
 
 import itertools
-import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from batchlat.analytics import (
-    coverage_probability,
     exact_expected_time_structure,
     expected_time_assignment,
     expected_time_balanced,
@@ -33,7 +30,6 @@ from batchlat.policies import (
     PolicySpec,
     balanced_assignment,
     cyclic_layout,
-    random_cc_assignment,
     replicated_nonoverlap_layout,
     resolve,
     shared_pair_layout,
@@ -70,9 +66,9 @@ class TestCyclicLayout:
         layout, structure = cyclic_layout(n, b)
         size = n // b
         assert layout.n_workers == n
-        assert layout.batch_size == size
-        assert layout.replication == size
-        assert structure.n_groups == size
+        assert len(layout.batches[0]) == size
+        assert sum(0 in batch for batch in layout.batches) == size
+        assert len(structure.groups) == size
         # groups partition the workers
         seen = set()
         for g in structure.groups:
@@ -103,7 +99,7 @@ class TestSharedPairLayout:
     def test_literal(self):
         layout, structure = shared_pair_layout()
         assert layout.n_workers == 6
-        assert layout.batch_size == 2
+        assert len(layout.batches[0]) == 2
         assert layout.batches[4] == layout.batches[5] == frozenset({4, 5})
         assert structure.groups == (
             frozenset({0, 2, 4}),
@@ -115,8 +111,8 @@ class TestSharedPairLayout:
     def test_groups_tile_the_blocks(self):
         layout, structure = shared_pair_layout()
         structure.validate_partitions(layout)
-        assert structure.workers() == frozenset(range(6))
-        assert structure.unused_workers(6) == frozenset()
+        assert frozenset().union(*structure.groups) == frozenset(range(6))
+        assert frozenset(range(6)) - frozenset().union(*structure.groups) == frozenset()
 
     def test_expected_time(self):
         _, structure = shared_pair_layout()
@@ -134,7 +130,7 @@ class TestReplicatedLayout:
             frozenset({4, 5}),
             frozenset({4, 5}),
         )
-        assert structure.n_groups == 8
+        assert len(structure.groups) == 8
         for g in structure.groups:
             assert len(g) == 3
             assert {w // 2 for w in g} == {0, 1, 2}
@@ -148,7 +144,7 @@ class TestReplicatedLayout:
         layout, structure = replicated_nonoverlap_layout(6, 6)
         assert structure.groups == (frozenset(range(6)),)
         assert expected_time_structure_rational(structure, 6) == harmonic(6)
-        assert layout.replication == 1
+        assert sum(0 in batch for batch in layout.batches) == 1
 
     def test_group_count_guard(self):
         # 2^25 picks
@@ -219,51 +215,6 @@ class TestExactCovers:
         # two disjoint triangles: odd vertex sets admit no disjoint pair cover
         batches = ({0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3})
         assert _exact_covers(BatchLayout(batches, n_blocks=6)) == set()
-
-
-class TestRandomCcAssignment:
-    def test_deterministic_under_seed(self):
-        a = random_cc_assignment(20, 5, np.random.default_rng(7))
-        b = random_cc_assignment(20, 5, np.random.default_rng(7))
-        assert a == b
-        assert sum(a.counts) == 20
-        assert a.n_batches == 5
-
-    def test_single_batch_gets_everyone(self):
-        v = random_cc_assignment(9, 1, np.random.default_rng(0))
-        assert v.counts == (9,)
-
-    def test_two_by_two_frequencies(self):
-        # counts (2,0), (1,1), (0,2) occur w.p. 1/4, 1/2, 1/4
-        rng = np.random.default_rng(123)
-        n = 40_000
-        seen = {(2, 0): 0, (1, 1): 0, (0, 2): 0}
-        for _ in range(n):
-            seen[random_cc_assignment(2, 2, rng).counts] += 1
-        for counts, p in [((2, 0), 0.25), ((1, 1), 0.5), ((0, 2), 0.25)]:
-            sigma = math.sqrt(p * (1 - p) / n)
-            assert abs(seen[counts] / n - p) < 4 * sigma, counts
-
-    def test_mean_count_per_batch(self):
-        rng = np.random.default_rng(11)
-        n, b, draws = 6, 3, 20_000
-        totals = np.zeros(b)
-        for _ in range(draws):
-            totals += random_cc_assignment(n, b, rng).counts
-        # each worker lands on a batch w.p. 1/3; mean count 2, var 6*(1/3)(2/3)
-        sigma = math.sqrt(n * (1 / b) * (1 - 1 / b) / draws)
-        for mean in totals / draws:
-            assert abs(mean - n / b) < 4 * sigma
-
-    def test_coverage_fraction(self):
-        rng = np.random.default_rng(42)
-        draws = 20_000
-        covered = sum(
-            random_cc_assignment(6, 3, rng).covers_all_batches for _ in range(draws)
-        )
-        p = float(coverage_probability(3, 6))
-        sigma = math.sqrt(p * (1 - p) / draws)
-        assert abs(covered / draws - p) < 4 * sigma
 
 
 class TestPolicySpec:

@@ -333,6 +333,25 @@ class TestMonteCarloAccuracy:
         assert abs(est.mean - expected_time_cyclic(50, 25)) < 4 * est.std_error
 
 
+@pytest.mark.parametrize("kind, layout", [
+    (PolicyKind.BALANCED, replicated_nonoverlap_layout),
+    (PolicyKind.CYCLIC, cyclic_layout),
+], ids=["balanced", "cyclic"])
+@pytest.mark.parametrize("n, b", [(6, 3), (12, 4)])
+def test_kind_matches_its_explicit_structure(kind, layout, n, b):
+    """A kind and its layout's recovery groups give equal estimates and equal
+    exact floats: per trial, the max over batches of replica minima is the
+    min over groups of group maxima, and both are one of the same uniforms."""
+    structure = PolicySpec(PolicyKind.EXPLICIT_STRUCTURE, groups=layout(n, b)[1].groups)
+    cfgs = [
+        SimConfig(n_samples=20_000, seed=3, rate=0.7, policy=spec,
+                  system=spec.kind.system(n, b, 0.7))
+        for spec in (PolicySpec(kind), structure)
+    ]
+    assert monte_carlo(cfgs[0]) == monte_carlo(cfgs[1])
+    assert cfgs[0].plan.exact(0.7) == cfgs[1].plan.exact(0.7)
+
+
 class TestRandomCc:
     def test_coverage_rate_and_conditional_mean(self):
         est = _estimate(PolicySpec(PolicyKind.RANDOM_CC), SystemParams(6, 6, 3))
