@@ -26,11 +26,9 @@ from .analytics import (
     expected_time_cyclic,
     harmonic,
     incomplete_subset_counts,
-    is_balanced_minimal,
     majorizes,
     rearranged,
     stirling2,
-    stirling2_alternating,
 )
 from .policies import (
     PolicyKind,
@@ -84,14 +82,12 @@ __all__ = [
     "expected_time_cyclic",
     "harmonic",
     "incomplete_subset_counts",
-    "is_balanced_minimal",
     "majorizes",
     "monte_carlo",
     "rearranged",
     "replicated_nonoverlap_layout",
     "shared_pair_layout",
     "stirling2",
-    "stirling2_alternating",
     "validate_policy",
     "__version__",
 ]

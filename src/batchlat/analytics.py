@@ -43,7 +43,6 @@ __all__ = [
     "MAX_STRUCTURE_WORKERS",
     "harmonic",
     "stirling2",
-    "stirling2_alternating",
     "coverage_probability",
     "coverage_probability_exact_n",
     "expected_time_balanced",
@@ -57,7 +56,6 @@ __all__ = [
     "incomplete_subset_counts",
     "rearranged",
     "majorizes",
-    "is_balanced_minimal",
 ]
 
 #: Refuse the assignment-vector and coverage closed forms when B * N exceeds
@@ -258,22 +256,6 @@ def _surjections(n: int, k: int) -> int:
         total = binom * power - total  # so term i ends with the sign (-1)^(k-i)
         binom = binom * (k - i) // (i + 1)
     return total
-
-
-def stirling2_alternating(n: int, k: int) -> int:
-    """S(n, k) by the surjection count: (1/k!) * sum_i (-1)^(k-i) C(k,i) i^n.
-
-    An independent route to the same integers as :func:`stirling2`; the two
-    must agree exactly.
-    """
-    _require_nonneg_int(n, "n")
-    _require_nonneg_int(k, "k")
-    if k > n:
-        return 0
-    value, rem = divmod(_surjections(n, k), math.factorial(k))
-    if rem:
-        raise ArithmeticError(f"alternating sum for S({n},{k}) is not divisible by {k}!")
-    return value
 
 
 def _coverable(n_batches: int, n_workers: int) -> bool:
@@ -555,11 +537,3 @@ def majorizes(v: Iterable[int], w: Iterable[int]) -> bool:
         if sum_v < sum_w:
             return False
     return sum_v == sum_w
-
-
-def is_balanced_minimal(vector: AssignmentVector | Sequence[int]) -> bool:
-    """Whether the vector is the balanced one: every batch held by the same
-    positive number of workers. Such a vector is majorized by every other
-    vector of equal length and sum."""
-    counts = _require_counts(vector)
-    return counts[0] > 0 and all(c == counts[0] for c in counts)

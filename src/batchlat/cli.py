@@ -307,8 +307,16 @@ def _split(text: str, parse: Callable[[str], object] = str, ranges: bool = False
 
 
 def _groups(text: str) -> tuple[tuple, ...]:
-    """Recovery groups: semicolon-separated worker lists, e.g. '0,2,4;1,3,5'."""
-    return tuple(_split(part, int) for part in text.split(";"))
+    """Recovery groups: semicolon-separated worker lists, e.g. '0,2,4;1,3,5'.
+    A group that one ``int`` map fails on (a blank entry, 'x', '1.0', '0..2')
+    is read again by ``_split``, which skips blanks and hands a bad token on."""
+    out = []
+    for part in text.split(";"):
+        try:
+            out.append(tuple(map(int, part.split(","))))
+        except ValueError:
+            out.append(_split(part, int))
+    return tuple(out)
 
 
 def _arg(
@@ -358,6 +366,12 @@ def _infer_shape(spec: PolicySpec, args: argparse.Namespace) -> tuple[int, int]:
     if n is None or b is None:
         raise DomainError(f"--n-workers and --n-batches are required for {spec.kind.value}")
     return n, b
+
+
+def _batches_known(spec: PolicySpec, args: argparse.Namespace) -> bool:
+    """Whether B is the user's or the policy's, not the placeholder that
+    ``_infer_shape`` gives a structure without -B; reports show B only then."""
+    return spec.groups is None or args.n_batches is not None
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +425,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         )
     lines.append(("n_workers", str(n)))
     # Structure groups do not determine B; without -B there is no bound to show.
-    show_bound = spec.groups is None or args.n_batches is not None
+    show_bound = _batches_known(spec, args)
     if show_bound:
         lines.append(("n_batches", str(b)))
     lines.append(("rate", _fmt(rate)))
@@ -425,13 +439,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if plan.counts is not None and n % b == 0:
         counts = plan.counts
         balanced = balanced_assignment(n, b).counts
-        lines.append(("is_balanced", "yes" if analytics.is_balanced_minimal(counts) else "no"))
+        # B positive counts summing to N (plan.exact refused a zero count) are
+        # majorized by the balanced ones exactly when they are all equal.
+        minimal = "yes" if analytics.majorizes(balanced, counts) else "no"
+        lines.append(("is_balanced", minimal))
         lines.append(
             ("majorizes_balanced", "yes" if analytics.majorizes(counts, balanced) else "no")
         )
-        lines.append(
-            ("majorized_by_balanced", "yes" if analytics.majorizes(balanced, counts) else "no")
-        )
+        lines.append(("majorized_by_balanced", minimal))
     _print_report(lines)
     return EXIT_OK
 
@@ -446,10 +461,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     )
     estimate = monte_carlo(cfg)
     exact = _exact_or_none(cfg.plan, args.rate)
-    lines = [
-        ("policy", spec.kind.value),
-        ("n_workers", str(n)),
-        ("n_batches", str(b)),
+    lines = [("policy", spec.kind.value), ("n_workers", str(n))]
+    if _batches_known(spec, args):
+        lines.append(("n_batches", str(b)))
+    lines += [
         ("rate", _fmt(args.rate)),
         ("n_samples", str(args.samples)),
         ("seed", str(args.seed)),

@@ -206,10 +206,6 @@ class BatchLayout:
             )
         object.__setattr__(self, "batches", tuple(norm))
 
-    @property
-    def n_workers(self) -> int:
-        return len(self.batches)
-
 
 @dataclass(frozen=True)
 class RecoveryStructure:
@@ -217,8 +213,8 @@ class RecoveryStructure:
 
     The job completes as soon as every worker of some group has finished.
     For a structure to be meaningful against a layout, each group's batches
-    must exactly partition the block set; check with
-    :meth:`validate_partitions`.
+    must exactly partition the block set; the layout constructors in
+    ``policies`` return groups that do.
     """
 
     groups: tuple[frozenset[int], ...]
@@ -239,27 +235,6 @@ class RecoveryStructure:
         if empty < len(groups):
             raise DomainError(f"group {empty} is empty")
         object.__setattr__(self, "groups", groups)
-
-    def validate_partitions(self, layout: BatchLayout) -> None:
-        """Require each group's batches to exactly partition the block set.
-
-        Raises DomainError when some group has overlapping batches or fails
-        to cover every block.
-        """
-        full = frozenset(range(layout.n_blocks))
-        for i, group in enumerate(self.groups):
-            seen: set[int] = set()
-            total = 0
-            for w in group:
-                if not 0 <= w < layout.n_workers:
-                    raise DomainError(f"group {i} references unknown worker {w}")
-                batch = layout.batches[w]
-                total += len(batch)
-                seen |= batch
-            if total != len(seen):
-                raise DomainError(f"group {i} has overlapping batches")
-            if seen != full:
-                raise DomainError(f"group {i} does not cover every block")
 
 
 @dataclass(frozen=True)

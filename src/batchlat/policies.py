@@ -141,10 +141,14 @@ def cyclic_layout(n_workers: int, n_batches: int) -> tuple[BatchLayout, Recovery
     batches = tuple(
         frozenset((w + j) % n_workers for j in range(size)) for w in range(n_workers)
     )
-    groups = tuple(
-        frozenset(r + i * size for i in range(n_batches)) for r in range(size)
-    )
-    return BatchLayout(batches, n_blocks=n_workers), RecoveryStructure(groups)
+    structure = RecoveryStructure(_cyclic_groups(n_workers, size))
+    return BatchLayout(batches, n_blocks=n_workers), structure
+
+
+def _cyclic_groups(n_workers: int, size: int) -> tuple[frozenset[int], ...]:
+    """The cyclic layout's recovery groups, the stride-``size`` worker sets
+    {r, r + size, r + 2 size, ...} for r < size, without building its windows."""
+    return tuple(frozenset(range(r, n_workers, size)) for r in range(size))
 
 
 def shared_pair_layout() -> tuple[BatchLayout, RecoveryStructure]:
@@ -264,7 +268,7 @@ def resolve(spec: PolicySpec, params: SystemParams) -> Plan:
         return Plan()
     if kind is PolicyKind.CYCLIC:
         return Plan(
-            groups=lambda: cyclic_layout(n, b)[1].groups,
+            groups=lambda: _cyclic_groups(n, n // b),  # B | S and S = N were checked above
             exact=lambda rate: analytics.expected_time_cyclic(n, b, rate),
         )
     if kind is PolicyKind.GROUPED_OVERLAP:

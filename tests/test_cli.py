@@ -324,6 +324,8 @@ class TestSimulateCommand:
         stdout = capsys.readouterr().out
         assert _field(stdout, "n_workers") == "25"
         assert "exact:" not in stdout and "within_ci:" not in stdout
+        # the groups imply no B, so the B = 1 placeholder is not shown
+        assert "n_batches:" not in stdout
 
     def test_too_few_samples(self):
         assert main([
@@ -582,6 +584,8 @@ class TestExitCodes:
          "group 1 is empty"),
         (["analyze", "--policy", "explicit-vector", "--vector", "1,x"],
          "count must be a non-negative integer, got 'x'"),
+        (["analyze", "--policy", "balanced", "-N", "6", "-B", "3", "--rate", "abc"],
+         "rate must be a number, got 'abc'"),
     ])
     def test_rejected_flag_value_names_the_rule(self, argv, rule, capsys):
         with pytest.raises(SystemExit) as err:
@@ -609,6 +613,14 @@ class TestExitCodes:
             cli.build_parser().parse_args(["coverage", "-B", "1..10000000000", "-N", "1"])
         assert err.value.code == EXIT_USAGE
         assert "range '1..10000000000'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        "0,2,4;1,3,5", " 0 , 2 ;1", "0,,2;1,3", "0,x;1", "1.0,2;3", "0..2;3", "0,2;-1",
+        "0,2;;1", " ;1", "1e3;2",
+    ])
+    def test_groups_read_like_split(self, text):
+        # one int map per group, and _split's reading wherever that fails
+        assert cli._groups(text) == tuple(cli._split(part, int) for part in text.split(";"))
 
     def test_short_range_still_expands(self):
         args = cli.build_parser().parse_args(["coverage", "-B", "1..6", "-N", "4..5"])

@@ -18,7 +18,7 @@ from batchlat.model import (
     SystemParams,
     _require_groups,
 )
-from batchlat.policies import PolicyKind, PolicySpec, cyclic_layout, resolve
+from batchlat.policies import PolicyKind, PolicySpec, resolve
 
 
 class TestSystemParams:
@@ -113,7 +113,7 @@ class TestAssignmentVector:
 class TestBatchLayout:
     def test_valid_layout(self):
         layout = BatchLayout(({0, 1}, {1, 2}, {2, 3}, {3, 0}), n_blocks=4)
-        assert layout.n_workers == 4
+        assert len(layout.batches) == 4
         assert len(layout.batches[0]) == 2
         assert layout.n_blocks // len(layout.batches[0]) == 2
         assert sum(0 in batch for batch in layout.batches) == 2
@@ -194,25 +194,6 @@ class TestRecoveryStructure:
                 _require_groups(structure, 12)
         assert _require_groups(over, 31) == RecoveryStructure(over).groups
 
-    def test_validate_partitions_accepts_cyclic(self):
-        layout, structure = cyclic_layout(6, 3)
-        structure.validate_partitions(layout)
-
-    def test_validate_partitions_rejects_overlap(self):
-        layout, _ = cyclic_layout(6, 3)
-        # workers 0 and 1 share block 1
-        with pytest.raises(DomainError):
-            RecoveryStructure(({0, 1, 4},)).validate_partitions(layout)
-
-    def test_validate_partitions_rejects_gap(self):
-        layout, _ = cyclic_layout(6, 3)
-        with pytest.raises(DomainError):
-            RecoveryStructure(({0, 2},)).validate_partitions(layout)
-
-    def test_validate_partitions_rejects_unknown_worker(self):
-        layout, _ = cyclic_layout(6, 3)
-        with pytest.raises(DomainError):
-            RecoveryStructure(({0, 2, 9},)).validate_partitions(layout)
 
 
 class TestCompletionEstimate:

@@ -65,7 +65,7 @@ class TestCyclicLayout:
     def test_invariants(self, n, b):
         layout, structure = cyclic_layout(n, b)
         size = n // b
-        assert layout.n_workers == n
+        assert len(layout.batches) == n
         assert len(layout.batches[0]) == size
         assert sum(0 in batch for batch in layout.batches) == size
         assert len(structure.groups) == size
@@ -76,7 +76,6 @@ class TestCyclicLayout:
             assert not (g & seen)
             seen |= g
         assert seen == set(range(n))
-        structure.validate_partitions(layout)
 
     @pytest.mark.parametrize("n,b", [(4, 2), (6, 2), (6, 3), (8, 4), (9, 3), (10, 5), (12, 4), (12, 6)])
     def test_each_batch_overlaps_exactly_its_window_neighbours(self, n, b):
@@ -98,7 +97,7 @@ class TestCyclicLayout:
 class TestSharedPairLayout:
     def test_literal(self):
         layout, structure = shared_pair_layout()
-        assert layout.n_workers == 6
+        assert len(layout.batches) == 6
         assert len(layout.batches[0]) == 2
         assert layout.batches[4] == layout.batches[5] == frozenset({4, 5})
         assert structure.groups == (
@@ -109,8 +108,7 @@ class TestSharedPairLayout:
         )
 
     def test_groups_tile_the_blocks(self):
-        layout, structure = shared_pair_layout()
-        structure.validate_partitions(layout)
+        _, structure = shared_pair_layout()
         assert frozenset().union(*structure.groups) == frozenset(range(6))
         assert frozenset(range(6)) - frozenset().union(*structure.groups) == frozenset()
 
@@ -134,7 +132,6 @@ class TestReplicatedLayout:
         for g in structure.groups:
             assert len(g) == 3
             assert {w // 2 for w in g} == {0, 1, 2}
-        structure.validate_partitions(layout)
 
     def test_matches_balanced_value(self):
         _, structure = replicated_nonoverlap_layout(6, 3)
@@ -182,8 +179,9 @@ def _exact_covers(layout: BatchLayout) -> set[frozenset[int]]:
     force over all worker subsets."""
     blocks = frozenset(range(layout.n_blocks))
     covers = set()
-    for r in range(1, layout.n_workers + 1):
-        for workers in itertools.combinations(range(layout.n_workers), r):
+    n_workers = len(layout.batches)
+    for r in range(1, n_workers + 1):
+        for workers in itertools.combinations(range(n_workers), r):
             batches = [layout.batches[w] for w in workers]
             # sizes summing to S and a union of all S blocks: a partition
             if sum(map(len, batches)) == len(blocks) and frozenset().union(*batches) == blocks:
@@ -195,9 +193,9 @@ class TestExactCovers:
     """A constructor's recovery groups are exactly its layout's exact covers:
     the job ends once every block is held by disjoint finished batches."""
 
-    @pytest.mark.parametrize(
-        "n, b", [(6, 1), (6, 2), (6, 3), (6, 6), (8, 4), (12, 3), (12, 4), (12, 6)]
-    )
+    @pytest.mark.parametrize("n, b", [
+        (4, 2), (6, 1), (6, 2), (6, 3), (6, 6), (8, 4), (9, 3), (10, 5), (12, 3), (12, 4), (12, 6)
+    ])
     def test_cyclic(self, n, b):
         layout, structure = cyclic_layout(n, b)
         assert _exact_covers(layout) == set(structure.groups)
@@ -341,6 +339,17 @@ class TestResolvers:
             assert plan.exact is None
         else:
             assert plan.exact(2.0) == expected
+
+    @pytest.mark.parametrize("n, b", [(6, 3), (12, 4), (50, 5), (50, 25)])
+    def test_cyclic_groups_match_the_layout(self, n, b):
+        plan = resolve(PolicySpec(PolicyKind.CYCLIC), SystemParams(n, n, b))
+        assert plan.groups() == cyclic_layout(n, b)[1].groups
+
+    def test_refuses_other_types(self):
+        with pytest.raises(DomainError, match="^expected a PolicySpec, got 'cyclic'$"):
+            resolve("cyclic", SystemParams(6, 6, 3))
+        with pytest.raises(DomainError, match=r"^expected SystemParams, got \(6, 6, 3\)$"):
+            resolve(PolicySpec(PolicyKind.CYCLIC), (6, 6, 3))
 
     def test_validates_before_resolving(self):
         with pytest.raises(DomainError):

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from numpy.random import Generator, Philox, SeedSequence
 
+import batchlat.policies as policies
 import batchlat.sim as sim
 from batchlat.analytics import (
     coverage_probability,
@@ -276,7 +277,7 @@ class TestReduceBeforeTransform:
         layout, structure = layout
         columns = [sorted(g) for g in structure.groups]
         for seed in range(2):
-            u = self._chunk(seed, 2000, layout.n_workers)
+            u = self._chunk(seed, 2000, len(layout.batches))
             for rate in self.RATES:
                 got = _transformed(_min_of_max(u, columns), rate)
                 assert np.array_equal(got, _ref_groups(u, columns, rate))
@@ -306,6 +307,16 @@ class TestMonteCarloAccuracy:
     def test_cyclic(self):
         est = _estimate(PolicySpec(PolicyKind.CYCLIC), SystemParams(6, 6, 3))
         assert abs(est.mean - 73 / 60) < 4 * est.std_error
+
+    def test_cyclic_builds_no_layout(self, monkeypatch):
+        # the groups come from the stride rule, not from the layout's N windows
+        def refuse(*args):
+            raise AssertionError("monte_carlo built the cyclic layout")
+
+        spec, system = PolicySpec(PolicyKind.CYCLIC), SystemParams(12, 12, 4)
+        expected = _estimate(spec, system, n_samples=20_000)
+        monkeypatch.setattr(policies, "cyclic_layout", refuse)
+        assert _estimate(spec, system, n_samples=20_000) == expected
 
     def test_grouped_overlap(self):
         est = _estimate(PolicySpec(PolicyKind.GROUPED_OVERLAP), SystemParams(6, 6, 3))
