@@ -307,16 +307,8 @@ def _split(text: str, parse: Callable[[str], object] = str, ranges: bool = False
 
 
 def _groups(text: str) -> tuple[tuple, ...]:
-    """Recovery groups: semicolon-separated worker lists, e.g. '0,2,4;1,3,5'.
-    A group that one ``int`` map fails on (a blank entry, 'x', '1.0', '0..2')
-    is read again by ``_split``, which skips blanks and hands a bad token on."""
-    out = []
-    for part in text.split(";"):
-        try:
-            out.append(tuple(map(int, part.split(","))))
-        except ValueError:
-            out.append(_split(part, int))
-    return tuple(out)
+    """Recovery groups: semicolon-separated worker lists, e.g. '0,2,4;1,3,5'."""
+    return tuple(_split(part, int) for part in text.split(";"))
 
 
 def _arg(

@@ -614,14 +614,6 @@ class TestExitCodes:
         assert err.value.code == EXIT_USAGE
         assert "range '1..10000000000'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text", [
-        "0,2,4;1,3,5", " 0 , 2 ;1", "0,,2;1,3", "0,x;1", "1.0,2;3", "0..2;3", "0,2;-1",
-        "0,2;;1", " ;1", "1e3;2",
-    ])
-    def test_groups_read_like_split(self, text):
-        # one int map per group, and _split's reading wherever that fails
-        assert cli._groups(text) == tuple(cli._split(part, int) for part in text.split(";"))
-
     def test_short_range_still_expands(self):
         args = cli.build_parser().parse_args(["coverage", "-B", "1..6", "-N", "4..5"])
         assert args.n_batches == (1, 2, 3, 4, 5, 6)
