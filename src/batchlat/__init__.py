@@ -14,7 +14,6 @@ from .model import (
     NonPositiveError,
     RecoveryStructure,
     SystemParams,
-    UncoveredBatchError,
 )
 from .analytics import (
     ExactProbability,
@@ -69,7 +68,6 @@ __all__ = [
     "RecoveryStructure",
     "SimConfig",
     "SystemParams",
-    "UncoveredBatchError",
     "balanced_assignment",
     "coverage_empirical",
     "coverage_probability",

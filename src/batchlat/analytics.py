@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, floordiv, mul
 
@@ -28,12 +27,11 @@ from .model import (
     ComplexityGuardError,
     DomainError,
     RecoveryStructure,
-    UncoveredBatchError,
     _require_counts,
     _require_groups,
     _require_nonneg_int,
     _require_positive_int,
-    _require_positive_real,
+    _require_rate,
     _require_replication,
 )
 
@@ -107,40 +105,34 @@ _OF_SIZE = np.array(
 )
 
 
-@dataclass(frozen=True)
-class ExactProbability:
-    """A probability stored as an exact reduced rational plus its float image.
+class ExactProbability(Fraction):
+    """A probability as an exact reduced rational.
 
-    The float is correctly rounded from the rational (within half an ulp),
-    so regimes where the denominator overflows any fixed-width integer stay
-    exact until the final conversion.
+    ``float()`` of it is correctly rounded from the rational (within half an
+    ulp), so regimes where the denominator overflows any fixed-width integer
+    stay exact until the final conversion.
     """
 
-    numerator: int
-    denominator: int
-    float_value: float = field(init=False)
-    _fraction: Fraction = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for v in (self.numerator, self.denominator):
+    def __new__(cls, numerator: int, denominator: int) -> ExactProbability:
+        for v in (numerator, denominator):
             if isinstance(v, bool) or not isinstance(v, int):
                 raise DomainError(f"numerator and denominator must be integers, got {v!r}")
-        if self.denominator == 0:
+        if denominator == 0:
             raise DomainError("denominator must be non-zero")
-        frac = Fraction(self.numerator, self.denominator)
-        if not 0 <= frac <= 1:
-            raise DomainError(f"probability {frac} lies outside [0, 1]")
-        object.__setattr__(self, "numerator", frac.numerator)
-        object.__setattr__(self, "denominator", frac.denominator)
-        object.__setattr__(self, "float_value", frac.numerator / frac.denominator)
-        object.__setattr__(self, "_fraction", frac)
+        self = super().__new__(cls, numerator, denominator)
+        if not 0 <= self <= 1:
+            raise DomainError(f"probability {self} lies outside [0, 1]")
+        return self
 
     @property
     def fraction(self) -> Fraction:
-        return self._fraction
+        return Fraction(self)
 
-    def __float__(self) -> float:
-        return self.float_value
+    @property
+    def float_value(self) -> float:
+        return float(self)
 
     def __repr__(self) -> str:
         return (
@@ -314,7 +306,7 @@ def expected_time_balanced(n_workers: int, n_batches: int, rate: float = 1.0) ->
     Each batch is held by N/B workers, so its recovery time is exponential
     at rate (N/B)*rate, and the job is the max of B such independent times.
     """
-    rate = _require_positive_real(rate, "rate")
+    rate = _require_rate(rate, "rate")
     return float(expected_time_balanced_rational(n_workers, n_batches)) / rate
 
 
@@ -337,16 +329,6 @@ def _survival_polynomial(counts: Sequence[int]) -> np.ndarray:
     return poly
 
 
-def _checked_counts(vector: AssignmentVector | Sequence[int]) -> tuple[int, ...]:
-    counts = _require_counts(vector)
-    _require_batch_worker_product(len(counts), sum(counts), "inclusion-exclusion")
-    if any(c == 0 for c in counts):
-        raise UncoveredBatchError(
-            "assignment leaves some batch with no worker, so the job cannot complete"
-        )
-    return counts
-
-
 def expected_time_assignment_rational(vector: AssignmentVector | Sequence[int]) -> Fraction:
     """Exact rate-1 E[max_i min-of-c_i exponentials] for replica counts c_i.
 
@@ -354,7 +336,9 @@ def expected_time_assignment_rational(vector: AssignmentVector | Sequence[int]) 
     sum (-1)^(|U|+1) / sum_{i in U} c_i; subsets with equal count sums are
     aggregated, with the opposite sign, in the expansion of prod_i (1 - x^c_i).
     """
-    poly = _survival_polynomial(_checked_counts(vector))
+    counts = _require_counts(vector)
+    _require_batch_worker_product(len(counts), sum(counts), "inclusion-exclusion")
+    poly = _survival_polynomial(counts)
     w = np.flatnonzero(poly)[1:]  # the constant term is 1 and is not summed
     return -_sum_fractions(poly[w].tolist(), w.tolist())
 
@@ -373,7 +357,7 @@ def expected_time_assignment(
     at rate 1. ``exact`` is accepted and ignored: there is no other route.
     Raises ComplexityGuardError when B * N exceeds MAX_BATCH_WORKER_PRODUCT.
     """
-    rate = _require_positive_real(rate, "rate")
+    rate = _require_rate(rate, "rate")
     return float(expected_time_assignment_rational(vector)) / rate
 
 
@@ -406,7 +390,7 @@ def expected_time_cyclic_rational(n_workers: int, n_batches: int) -> Fraction:
 
 def expected_time_cyclic(n_workers: int, n_batches: int, rate: float = 1.0) -> float:
     """Expected completion time of the cyclic overlapping layout at the given rate."""
-    rate = _require_positive_real(rate, "rate")
+    rate = _require_rate(rate, "rate")
     return float(expected_time_cyclic_rational(n_workers, n_batches)) / rate
 
 
@@ -509,7 +493,7 @@ def exact_expected_time_structure(
     subsets, 20-40 ms at N = 24 whatever the number of groups. Guarded at
     N <= 24.
     """
-    rate = _require_positive_real(rate, "rate")
+    rate = _require_rate(rate, "rate")
     return float(expected_time_structure_rational(structure, n_workers)) / rate
 
 

@@ -45,13 +45,12 @@ from .model import (
     ComplexityGuardError,
     DomainError,
     NoCoverageError,
-    UncoveredBatchError,
     _require_counts,
     _require_groups,
     _require_list,
     _require_nonneg_int,
     _require_positive_int,
-    _require_positive_real,
+    _require_rate,
     _require_sample_count,
 )
 from .policies import (
@@ -141,7 +140,7 @@ class SweepSpec:
     format: str = "csv"
 
     def __post_init__(self) -> None:
-        rates = _require_list(self.rates, "rates", _require_positive_real)
+        rates = _require_list(self.rates, "rates", _require_rate)
         object.__setattr__(self, "rates", rates)
         b_values = _require_list(self.b_values, "b_values", _require_positive_int)
         object.__setattr__(self, "b_values", b_values)
@@ -431,7 +430,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if plan.counts is not None and n % b == 0:
         counts = plan.counts
         balanced = balanced_assignment(n, b).counts
-        # B positive counts summing to N (plan.exact refused a zero count) are
+        # B positive counts summing to N (AssignmentVector refuses a zero) are
         # majorized by the balanced ones exactly when they are all equal.
         minimal = "yes" if analytics.majorizes(balanced, counts) else "no"
         lines.append(("is_balanced", minimal))
@@ -550,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
     samples = _arg(_whole, _require_sample_count, "n_samples")
     seed = _arg(int, _require_nonneg_int, "seed")
-    rate = _arg(float, _require_positive_real, "rate")
+    rate = _arg(float, _require_rate, "rate")
     n_workers = _arg(int, _require_positive_int, "n_workers")
     count_list = partial(_split, parse=int, ranges=True)
 
@@ -634,7 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sw.add_argument(
         "--rates", metavar="R1,R2,...",
-        type=_arg(partial(_split, parse=float), _require_list, "rates", _require_positive_real),
+        type=_arg(partial(_split, parse=float), _require_list, "rates", _require_rate),
     )
     sw.add_argument(
         "--policy", type=_arg(_split, _require_list, "policies"), metavar="P1,P2,...",
@@ -671,7 +670,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ComplexityGuardError, NoCoverageError, UncoveredBatchError, MemoryError) as exc:
+    except (ComplexityGuardError, NoCoverageError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except OSError as exc:

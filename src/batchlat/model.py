@@ -12,7 +12,6 @@ integers everywhere, including external formats.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
@@ -32,10 +31,6 @@ class NonPositiveError(DomainError):
 
 class NonDivisibleError(DomainError):
     """A required divisibility between system parameters does not hold."""
-
-
-class UncoveredBatchError(BatchlatError):
-    """The job cannot complete: some batch is held by no finished worker."""
 
 
 class ComplexityGuardError(BatchlatError):
@@ -60,13 +55,19 @@ def _require_positive_int(value: object, name: str) -> int:
     return value
 
 
-def _require_positive_real(value: object, name: str) -> float:
+def _require_rate(value: object, name: str) -> float:
+    """A service rate in [1e-100, 1e100]. Sample times scale as 1/rate and
+    the Monte Carlo variance sums their squares, which overflow below a rate
+    of about 2.7e-153 and underflow to zero above about 1e154; the bounds
+    leave some 50 orders of margin on each side."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise DomainError(f"{name} must be a number, got {value!r}")
-    out = float(value)
-    if not math.isfinite(out) or out <= 0:
+    # compared before float(), which overflows on an int past the float range
+    if not 0 < value < math.inf:
         raise NonPositiveError(f"{name} must be positive and finite, got {value}")
-    return out
+    if not 1e-100 <= value <= 1e100:
+        raise DomainError(f"{name} must lie in [1e-100, 1e100], got {value}")
+    return float(value)
 
 
 def _require_nonneg_int(value: object, name: str) -> int:
@@ -127,22 +128,22 @@ class SystemParams:
         _require_positive_int(self.n_workers, "n_workers")
         _require_positive_int(self.n_blocks, "n_blocks")
         _require_positive_int(self.n_batches, "n_batches")
-        _require_positive_real(self.rate, "rate")
+        _require_rate(self.rate, "rate")
 
 
 @dataclass(frozen=True)
 class AssignmentVector:
     """Per-batch worker counts for non-overlapping batching.
 
-    Entry i is the number of workers holding batch i. Zero entries are legal
-    (a random draw may leave a batch unselected) but such a vector cannot
-    complete the job.
+    Entry i is the number of workers holding batch i. Every entry is
+    positive: a batch that no worker holds is never recovered, so the job
+    could not complete.
     """
 
     counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        counts = tuple(_require_nonneg_int(c, "count") for c in self.counts)
+        counts = tuple(_require_positive_int(c, "count") for c in self.counts)
         if len(counts) == 0:
             raise DomainError("assignment vector must have at least one batch")
         object.__setattr__(self, "counts", counts)
@@ -223,17 +224,11 @@ class RecoveryStructure:
         groups = tuple(map(frozenset, self.groups))
         if len(groups) == 0:
             raise DomainError("recovery structure must have at least one group")
-        empty = groups.index(frozenset()) if frozenset() in groups else len(groups)
-        try:  # a non-int equal to an id, such as 1.0 beside 1, would hide in the union
-            if not set(map(type, itertools.chain.from_iterable(groups[:empty]))) <= {int}:
-                raise DomainError
-            for w in frozenset().union(*groups[:empty]):
+        for i, group in enumerate(groups):  # the first fault in group order is named
+            if not group:
+                raise DomainError(f"group {i} is empty")
+            for w in group:
                 _require_nonneg_int(w, "worker id")
-        except DomainError:  # name the first bad id in group order instead
-            for w in itertools.chain.from_iterable(groups):
-                _require_nonneg_int(w, "worker id")
-        if empty < len(groups):
-            raise DomainError(f"group {empty} is empty")
         object.__setattr__(self, "groups", groups)
 
 

@@ -62,7 +62,7 @@ from .model import (
     SystemParams,
     _require_nonneg_int,
     _require_positive_int,
-    _require_positive_real,
+    _require_rate,
     _require_sample_count,
 )
 from .policies import Plan, PolicySpec, resolve
@@ -96,8 +96,8 @@ def derive_seed(master_seed: int, index: int) -> int:
     return int(SeedSequence([master_seed, index]).generate_state(1, np.uint64)[0])
 
 
-def _chunks(seed: int, n: int, draws_per_trial: int) -> Iterator[tuple[int, np.ndarray]]:
-    """(first_trial, uniforms) for trials [0, n), about _CHUNK_BYTES at a time.
+def _chunks(seed: int, n: int, draws_per_trial: int) -> Iterator[np.ndarray]:
+    """The uniforms of trials [0, n) in trial order, about _CHUNK_BYTES at a time.
 
     One generator serves the whole call and every chunk is a view of one
     reused buffer, so a consumer must finish with a chunk, and keep no
@@ -110,7 +110,7 @@ def _chunks(seed: int, n: int, draws_per_trial: int) -> Iterator[tuple[int, np.n
     for lo in range(0, n, per_chunk):
         m = min(per_chunk, n - lo)
         gen.random(out=buf[:m])
-        yield lo, buf[:m, :draws_per_trial]
+        yield buf[:m, :draws_per_trial]
 
 
 def _blocks(parts: Iterator[np.ndarray], size: int) -> Iterator[np.ndarray]:
@@ -171,7 +171,7 @@ class SimConfig:
     def __post_init__(self) -> None:
         _require_sample_count(self.n_samples, "n_samples")
         _require_nonneg_int(self.seed, "seed")
-        _require_positive_real(self.rate, "rate")
+        _require_rate(self.rate, "rate")
         object.__setattr__(self, "plan", resolve(self.policy, self.system))
 
 
@@ -245,10 +245,6 @@ def monte_carlo(cfg: SimConfig) -> CompletionEstimate:
     plan, n, rate = cfg.plan, cfg.n_samples, cfg.rate
     draws = cfg.system.n_workers
     if plan.counts is not None:
-        if not all(plan.counts):
-            raise NoCoverageError(
-                "assignment leaves some batch with no worker; no trial can complete"
-            )
         ends = itertools.accumulate(plan.counts)
         runs = [range(end - c, end) for c, end in zip(plan.counts, ends)]
         # max over batches of the replica minimum; uniforms are >= 0
@@ -265,7 +261,7 @@ def monte_carlo(cfg: SimConfig) -> CompletionEstimate:
         draws *= 2  # N batch draws, then N service draws
         kernel = functools.partial(_run_random_cc, n_batches=cfg.system.n_batches)
     n_covered, mean, m2 = 0, 0.0, 0.0
-    per_trial = (kernel(u) for _, u in _chunks(cfg.seed, n, draws))
+    per_trial = map(kernel, _chunks(cfg.seed, n, draws))
     for block in _blocks(per_trial, min(_BLOCK, n)):
         finite = np.isfinite(block)  # random-cc's uncovered trials stay inf
         k = int(np.count_nonzero(finite))
@@ -313,7 +309,7 @@ def coverage_empirical(n_batches: int, n_workers: int, n_samples: int, seed: int
     if n_batches > n_workers:
         return 0.0  # N draws hit at most N batches
     hits = 0
-    for _, u in _chunks(seed, n_samples, n_workers):
+    for u in _chunks(seed, n_samples, n_workers):
         hit = np.zeros((len(u), n_batches), dtype=bool)
         hit.reshape(-1)[_batch_slots(u, n_batches)] = True
         # fold the batch columns; all() along the short row axis is slower

@@ -41,7 +41,7 @@ from batchlat.model import (
     AssignmentVector,
     ComplexityGuardError,
     DomainError,
-    UncoveredBatchError,
+    NonPositiveError,
 )
 from batchlat.policies import (
     cyclic_layout,
@@ -494,6 +494,13 @@ class TestBalanced:
         for rate in (0.5, 2.0, 3.7, 10.0):
             assert expected_time_balanced(12, 4, rate) == base / rate
 
+    def test_rate_bounded(self):
+        assert expected_time_balanced(6, 3, 1e-100) == (11 / 12) / 1e-100
+        assert expected_time_balanced(6, 3, 1e100) == (11 / 12) / 1e100
+        for rate in (1e-101, 1e-320, 1e101, 1e300):
+            with pytest.raises(DomainError, match=r"^rate must lie in \[1e-100, 1e100\], got "):
+                expected_time_balanced(6, 3, rate)
+
 
 class TestAssignment:
     def test_known_values(self):
@@ -545,8 +552,12 @@ class TestAssignment:
             assert expected_time_assignment((5, 4, 3), rate) == base / rate
 
     def test_uncovered_batch_rejected(self):
-        with pytest.raises(UncoveredBatchError):
-            expected_time_assignment_rational((2, 0, 4))
+        # a batch with no worker is refused by the vector type, before the size guard
+        for route in (expected_time_assignment_rational, expected_time_assignment):
+            with pytest.raises(NonPositiveError, match="^count must be positive, got 0$"):
+                route((2, 0, 4))
+            with pytest.raises(NonPositiveError):
+                route((0, MAX_BATCH_WORKER_PRODUCT))
 
     def test_float_is_correctly_rounded(self):
         # one rounding of the exact rational, also where the alternating sum
@@ -581,9 +592,9 @@ class TestAssignment:
             expected_time_assignment_rational(over)
         with pytest.raises(ComplexityGuardError):
             expected_time_assignment(over)
-        # guard fires before the coverage check
+        # two batches over 10^7 + 1 workers
         with pytest.raises(ComplexityGuardError):
-            expected_time_assignment_rational((0, MAX_BATCH_WORKER_PRODUCT))
+            expected_time_assignment_rational((1, MAX_BATCH_WORKER_PRODUCT))
 
     def test_at_guard_limit_still_works(self, monkeypatch):
         monkeypatch.setattr(analytics, "MAX_BATCH_WORKER_PRODUCT", 5 * 10)

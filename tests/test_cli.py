@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from batchlat import cli, policies
+from batchlat import analytics, cli, policies
 from batchlat.analytics import coverage_probability, expected_time_balanced, harmonic
 from batchlat.cli import (
     DEFAULT_RATES,
@@ -224,6 +224,14 @@ class TestSweepCommand:
         assert capsys.readouterr().err == (
             "error: n_samples must be at most 2^53, got 100000000000000000000\n"
         )
+
+    def test_config_rate_past_the_float_range(self, tmp_path, capsys):
+        # a JSON integer too large for a float is refused, not overflowed
+        path = tmp_path / "big.json"
+        path.write_text('{"rates": [1' + "0" * 400 + "]}")
+        argv = ["sweep", "--config", str(path), "--out", str(tmp_path / "x.csv")]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: rates must lie in [1e-100, 1e100], got {10**400}\n"
 
     def test_config_invalid_json(self, tmp_path):
         cfg = tmp_path / "bad.json"
@@ -467,6 +475,13 @@ class TestComparePolicies:
         assert float(table["grouped-overlap"][1]) == pytest.approx(21 / 20, rel=1e-8)
         assert float(table["cyclic"][1]) == pytest.approx(73 / 60, rel=1e-8)
 
+    def test_broken_order_is_an_internal_error(self, monkeypatch):
+        # the exact values are checked before any sampling: a cyclic time
+        # below the replicated one breaks the order the comparison rests on
+        monkeypatch.setattr(analytics, "expected_time_cyclic", lambda n, b, rate: 0.0)
+        with pytest.raises(RuntimeError, match="^internal invariant violated"):
+            main(["compare-fig4", "--samples", "1000"])
+
     def test_rate_halves_each_entry(self, capsys):
         assert main(["compare-fig4", "--samples", "1000", "--seed", "0"]) == EXIT_OK
         base = capsys.readouterr().out.strip().splitlines()[1:]
@@ -534,16 +549,22 @@ class TestExitCodes:
         assert _field(stdout, "expected_time") == cli._fmt(1 / 24 + 1 / 23 + 1 / 22)
 
     def test_no_coverage_error(self, capsys):
+        # two random-cc draws can never cover five batches
         assert main([
-            "simulate", "--policy", "explicit-vector", "--vector", "2,0,4",
-            "--samples", "1000",
+            "simulate", "--policy", "random-cc", "-N", "2", "-B", "5", "--samples", "1000",
         ]) == EXIT_GUARD
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: none of the 1000 trials covered all 5 batches\n"
 
     def test_uncoverable_vector_same_code_in_analyze(self, capsys):
-        # analyze and simulate refuse a zero-count vector with one exit code
-        assert main(["analyze", "--policy", "explicit-vector", "--vector", "3,0,3"]) == EXIT_GUARD
-        assert "error:" in capsys.readouterr().err
+        # analyze and simulate refuse a zero-count vector at parse time, alike
+        for command in ("analyze", "simulate"):
+            with pytest.raises(SystemExit) as err:
+                main([command, "--policy", "explicit-vector", "--vector", "3,0,3"])
+            assert err.value.code == EXIT_USAGE
+            last = capsys.readouterr().err.splitlines()[-1]
+            assert last == (
+                f"batchlat {command}: error: argument --vector: count must be positive, got 0"
+            )
 
     def test_out_of_memory(self, monkeypatch, capsys):
         message = "Unable to allocate 7.28 TiB for an array with shape (1000000000000,)"
@@ -583,9 +604,11 @@ class TestExitCodes:
         (["analyze", "--policy", "explicit-structure", "-N", "6", "--groups", "0,2,4;"],
          "group 1 is empty"),
         (["analyze", "--policy", "explicit-vector", "--vector", "1,x"],
-         "count must be a non-negative integer, got 'x'"),
+         "count must be an integer, got 'x'"),
         (["analyze", "--policy", "balanced", "-N", "6", "-B", "3", "--rate", "abc"],
          "rate must be a number, got 'abc'"),
+        (["simulate", "--policy", "balanced", "-N", "6", "-B", "3", "--rate", "1e-160"],
+         "rate must lie in [1e-100, 1e100], got 1e-160"),
     ])
     def test_rejected_flag_value_names_the_rule(self, argv, rule, capsys):
         with pytest.raises(SystemExit) as err:

@@ -27,6 +27,7 @@ from batchlat.analytics import (
 from batchlat.model import (
     DomainError,
     NoCoverageError,
+    NonPositiveError,
     SystemParams,
 )
 from batchlat.policies import (
@@ -180,11 +181,14 @@ class TestMonteCarloDeterminism:
         n = 2 * per_chunk + per_chunk // 2 + 1  # several chunks, the last one ragged
         seed = 11
         firsts = []
-        for lo, u in sim._chunks(seed, n, draws):
+        lo = 0  # each chunk starts where the chunks before it end
+        for u in sim._chunks(seed, n, draws):
             assert u.shape == (min(per_chunk, n - lo), draws)
             assert np.array_equal(u, _uniform_block(seed, lo, len(u), draws))
             firsts.append(lo)
+            lo += len(u)
         assert firsts == list(range(0, n, per_chunk))
+        assert lo == n
 
     def test_prefix_property(self):
         # the first trials of a longer run are the same trials
@@ -192,7 +196,7 @@ class TestMonteCarloDeterminism:
 
         def run(n):
             return np.concatenate(
-                [_min_of_max(u, columns) for _, u in sim._chunks(7, n, 6)]
+                [_min_of_max(u, columns) for u in sim._chunks(7, n, 6)]
             )
 
         assert np.array_equal(run(100), run(1000)[:100])
@@ -402,15 +406,9 @@ class TestRandomCc:
             monte_carlo(cfg)
 
     def test_zero_count_vector_rejected_upfront(self):
-        cfg = SimConfig(
-            n_samples=1000,
-            seed=3,
-            rate=1.0,
-            policy=PolicySpec(PolicyKind.EXPLICIT_VECTOR, vector=(2, 0, 4)),
-            system=SystemParams(6, 6, 3),
-        )
-        with pytest.raises(NoCoverageError):
-            monte_carlo(cfg)
+        # the vector type refuses it, before any config or run exists
+        with pytest.raises(NonPositiveError, match="^count must be positive, got 0$"):
+            PolicySpec(PolicyKind.EXPLICIT_VECTOR, vector=(2, 0, 4))
 
 
 class TestEstimateEdges:
@@ -429,6 +427,18 @@ class TestEstimateEdges:
         half = 1.959963984540054 * est.std_error
         assert est.ci95_high - est.mean == pytest.approx(half, rel=1e-12)
         assert est.mean - est.ci95_low == pytest.approx(half, rel=1e-12)
+
+    def test_rate_bounded(self):
+        # squared deviations overflow below a rate of about 2.7e-153 and
+        # vanish above about 1e154; inside the bounds the moments stay finite
+        system = SystemParams(6, 6, 3)
+        for rate in (1e-160, 1e-101, 1e101, 1e300):
+            with pytest.raises(DomainError, match=r"^rate must lie in \[1e-100, 1e100\], got "):
+                _estimate(PolicySpec(PolicyKind.BALANCED), system, rate=rate)
+        for rate in (1e-100, 1e100):
+            est = _estimate(PolicySpec(PolicyKind.BALANCED), system, n_samples=1000, rate=rate)
+            assert 0 < est.std_error < est.mean
+            assert abs(est.mean - 11 / 12 / rate) < 4 * est.std_error
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
@@ -487,7 +497,7 @@ def _one_pass_estimate(cfg):
         draws *= 2
         kernel = functools.partial(sim._run_random_cc, n_batches=system.n_batches)
     results = np.concatenate(
-        [kernel(u) for _, u in sim._chunks(cfg.seed, cfg.n_samples, draws)]
+        [kernel(u) for u in sim._chunks(cfg.seed, cfg.n_samples, draws)]
     )
     values = _transformed(results, cfg.rate)
     values = values[np.isfinite(values)]
@@ -595,7 +605,7 @@ class TestCoverageEmpirical:
 
         monkeypatch.setattr(sim, "_CHUNK_BYTES", 1 << 17)  # 819 to 4096 trials
         n, seed = 10_000, 3
-        want = sum(hits(u) for _, u in sim._chunks(seed, n, n_workers))
+        want = sum(hits(u) for u in sim._chunks(seed, n, n_workers))
         assert coverage_empirical(n_batches, n_workers, n, seed) == want / n
 
 
