@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
+from itertools import repeat
 from operator import add, floordiv, mul
 
 import numpy as np
@@ -70,30 +71,33 @@ MAX_BATCH_WORKER_PRODUCT = 10**7
 # (3, 3333333), inside B * N <= 10^7, 33 s.
 _MAX_POWER_BITS = 2**18
 
-# Refuse H_n past this n; the cyclic form sums the same N unit fractions, so
-# it is refused past N = this as well. Merging the n fractions and reducing
-# the result grow about quadratically in n: on a 2-vCPU Xeon H_n takes
-# 0.26-0.35 s at n = 10^5, 0.95 s at 2 * 10^5 and 20 s at 10^6.
+# Refuse H_n past this n; the cyclic form, which is H_N at B = N, is refused
+# past N = this as well. Merging the n fractions and reducing the result grow
+# about quadratically in n: on a 2-vCPU Xeon H_n takes 0.26-0.35 s at
+# n = 10^5, 0.95 s at 2 * 10^5 and 20 s at 10^6.
 _MAX_HARMONIC_TERMS = 10**5
 
-# Refuse the cyclic form past this many groups G = N/B: its coefficients d_t
-# are G integers of up to G bits, so memory grows with G^2. On the same Xeon,
-# (N, B) = (20000, 1) takes 0.38 s and 150 MB, (40000, 1) 1.6 s and 484 MB and
-# (100000, 1) 10.4 s and 2.8 GB. The slowest accepted shape, (100000, 10),
-# takes 0.47-0.57 s and 73 MB; (400000, 100), with G = 4000, took 3.6 s.
+# Refuse the cyclic form past this many groups G = N/B. Its B residue-class
+# products have G factors each; on the same Xeon the slowest accepted shape,
+# (N, B) = (100000, 10), takes 0.33-0.35 s with a traced peak of 0.23 MiB,
+# and (20000, 2) 26-29 ms and 0.12 MiB (scripts/guard_timings.py).
 _MAX_CYCLIC_GROUPS = 10**4
 
-#: Refuse subset counting over more than this many workers. A structure with
-#: fewer distinct groups than min(N, 16) is counted by inclusion-exclusion
-#: over its at most 2^15 group unions, 0.1-0.3 ms for a cyclic layout at
-#: N = 24 on a 2-vCPU Xeon; any other by closing its groups upward over a
-#: 2^N-bit set of subsets, 20-40 ms and a traced peak of 6.7 MiB at N = 24
-#: whatever the number of groups.
+#: Refuse subset counting over more than this many workers, unless the
+#: structure has fewer than 16 distinct groups and at most 64 workers. Those
+#: are counted by inclusion-exclusion over their at most 2^15 group unions,
+#: 0.1-0.3 ms for a cyclic layout at N = 24 on a 2-vCPU Xeon and 0.2-1 ms
+#: for cyclic (50, 5), (50, 10), (50, 25), (60, 4) and (64, 8); any other by
+#: closing its groups upward over a 2^N-bit set of subsets, 20-40 ms and a
+#: traced peak of 6.7 MiB at N = 24 whatever the number of groups.
 MAX_STRUCTURE_WORKERS = 24
 
 # Fewer distinct groups than min(N, this) take inclusion-exclusion over their
 # at most 2^15 unions; more take the upward closure.
 _UNION_GROUP_LIMIT = 16
+
+# The group unions are uint64 masks, so inclusion-exclusion ends at 64 workers.
+_MAX_UNION_WORKERS = 64
 
 # Subset S is bit S & 63 of word S >> 6 in the closure. Per in-word worker i,
 # the bits of subsets without i; per in-word size s, the bits of that size.
@@ -157,16 +161,16 @@ def _require_batch_worker_product(n_batches: int, n_workers: int, route: str) ->
         )
 
 
-def _fold_fractions(p: list[int], q: list[int], rows: int = 1) -> tuple[list[int], list[int]]:
-    """Unreduced sums of p[i]/q[i], q[i] > 0, over each class of i mod rows.
+def _fold_fractions(p: list[int], q: list[int]) -> tuple[list[int], list[int]]:
+    """Unreduced sum of p[i]/q[i], q[i] > 0, as one-entry lists.
 
-    Each row of the column-major table is summed in a balanced tree, one
-    level at a time: the first half of the columns merges with the second
-    in a few C-level maps, p1/q1 + p2/q2 over lcm(q1, q2), and an odd last
-    column is carried up a level.
+    The terms are summed in a balanced tree, one level at a time: the first
+    half of the lists merges with the second in a few C-level maps,
+    p1/q1 + p2/q2 over lcm(q1, q2), and an odd last term is carried up a
+    level.
     """
-    while len(p) > rows:
-        half = len(p) // rows // 2 * rows
+    while len(p) > 1:
+        half = len(p) // 2
         q1, q2 = q[:half], q[half : 2 * half]
         g = list(map(math.gcd, q1, q2))
         a = list(map(floordiv, q2, g))
@@ -183,6 +187,16 @@ def _sum_fractions(p: list[int], q: list[int]) -> Fraction:
         return Fraction(0)
     (p,), (q,) = _fold_fractions(p, q)
     return Fraction(p, q)
+
+
+def _product(r: Sequence[int]) -> int:
+    """math.prod(r) as a balanced tree over 64-term slices: one running
+    product of 10^4 terms goes quadratic in its size."""
+    p = [math.prod(r[j : j + 64]) for j in range(0, len(r), 64)]
+    while len(p) > 1:
+        half = len(p) // 2
+        p = [*map(mul, p[:half], p[half : 2 * half]), *p[2 * half :]]
+    return p[0]
 
 
 def harmonic(n: int) -> Fraction:
@@ -366,9 +380,17 @@ def expected_time_cyclic_rational(n_workers: int, n_batches: int) -> Fraction:
 
     The G = N/B recovery groups are disjoint B-worker sets, so the job time
     is the min over G independent maxima of B exponentials. Integrating the
-    survival function (1 - (1 - e^-t)^B)^G by the substitution u = e^-t
+    survival function (1 - (1 - e^-t)^B)^G by the substitution x = e^-t
     yields sum_{j=1..G} (-1)^(j+1) C(G, j) H_{jB}, that is sum_{k=1..N}
-    d_{ceil(k/B)} / k with d_t = sum_{j>=t} (-1)^(j+1) C(G, j) = (-1)^(t+1) C(G-1, t-1).
+    (-1)^s C(G-1, s) / k with k = i + s*B. The terms of one residue class
+    i = 1..B sum to a Beta integral:
+
+        sum_{s<G} (-1)^s C(G-1, s) / (i + s*B) = int_0^1 x^(i-1) (1 - x^B)^(G-1) dx
+                                               = (G-1)! B^(G-1) / D_i,
+
+    with D_i = prod_{s<G} (i + s*B): expand (1 - x^B)^(G-1) for the left
+    side, and substitute y = x^B to get Beta(i/B, G) / B for the right. So
+    the value is (G-1)! B^(G-1) sum_{i=1..B} 1/D_i, a sum of B terms, not N.
     Raises ComplexityGuardError past N = 10^5 or G = 10^4.
     """
     n_groups = _require_replication(n_workers, n_batches, "cyclic layout")
@@ -378,14 +400,17 @@ def expected_time_cyclic_rational(n_workers: int, n_batches: int) -> Fraction:
             f"N <= {_MAX_HARMONIC_TERMS} and G <= {_MAX_CYCLIC_GROUPS} guard; "
             "estimate by Monte Carlo instead"
         )
-    # Sum the B terms 1/k that share d_{t+1} first, in small integers, as row t
-    # of the column-major table of k = t*B + i; only G sums meet the G-bit d_t.
-    ks = [k for i in range(1, n_batches + 1) for k in range(i, n_workers + 1, n_batches)]
-    p, q = _fold_fractions([1] * n_workers, ks, n_groups)
-    d = [1]  # d[t] = (-1)^t C(G-1, t): one multiply and exact division a term
-    for t in range(1, n_groups):
-        d.append(-d[-1] * (n_groups - t) // t)
-    return _sum_fractions(list(map(mul, d, p)), q)
+    # (G-1)! = u * m, where u = gcd((G-1)!, B^(G-1)) holds every prime of B in
+    # (G-1)!, since v_p((G-1)!) <= G-1, and m none. For p not dividing B, the
+    # G terms of a class take every residue mod p^j at least floor(G / p^j)
+    # times, so m divides each D_i, and the value is u B^(G-1) sum_i 1/(D_i/m).
+    power = n_batches ** (n_groups - 1)
+    f = math.factorial(n_groups - 1)
+    u = math.gcd(f, power)
+    classes = map(range, range(1, n_batches + 1), repeat(n_workers + 1), repeat(n_batches))
+    d = map(math.prod if n_groups <= 64 else _product, classes)
+    (p,), (q,) = _fold_fractions([1] * n_batches, list(map(floordiv, d, repeat(f // u))))
+    return Fraction(u * power * p, q)
 
 
 def expected_time_cyclic(n_workers: int, n_batches: int, rate: float = 1.0) -> float:
@@ -405,19 +430,21 @@ def incomplete_subset_counts(
     O(2^groups) numpy work; more, whose unions would outnumber the subsets,
     by closing the groups upward over the 2^N subsets, in O(N * 2^N / 64)
     word operations whatever the number of groups: at N = 24 on a 2-vCPU
-    Xeon, 20-40 ms and a traced peak of 6.7 MiB. Both routes are guarded at
-    N <= 24.
+    Xeon, 20-40 ms and a traced peak of 6.7 MiB. Refused past N = 24,
+    unless there are fewer than 16 distinct groups and N <= 64.
     """
     _require_positive_int(n_workers, "n_workers")
-    if n_workers > MAX_STRUCTURE_WORKERS:
-        raise ComplexityGuardError(
-            f"subset enumeration over {n_workers} workers exceeds the "
-            f"N <= {MAX_STRUCTURE_WORKERS} guard; estimate by Monte Carlo instead"
-        )
-    masks = {sum(1 << w for w in g) for g in _require_groups(structure, n_workers)}
-    if len(masks) < min(n_workers, _UNION_GROUP_LIMIT):
-        return _subset_counts_by_union(masks, n_workers)
-    return _subset_counts_by_closure(masks, n_workers)
+    if n_workers <= _MAX_UNION_WORKERS:
+        masks = {sum(1 << w for w in g) for g in _require_groups(structure, n_workers)}
+        if len(masks) < min(n_workers, _UNION_GROUP_LIMIT):
+            return _subset_counts_by_union(masks, n_workers)
+        if n_workers <= MAX_STRUCTURE_WORKERS:
+            return _subset_counts_by_closure(masks, n_workers)
+    raise ComplexityGuardError(
+        f"subset enumeration over {n_workers} workers exceeds the N <= {MAX_STRUCTURE_WORKERS}"
+        f" guard (N <= {_MAX_UNION_WORKERS} with fewer than {_UNION_GROUP_LIMIT} distinct"
+        " groups); estimate by Monte Carlo instead"
+    )
 
 
 def _subset_counts_by_union(masks: Iterable[int], n_workers: int) -> tuple[int, ...]:
@@ -425,7 +452,7 @@ def _subset_counts_by_union(masks: Iterable[int], n_workers: int) -> tuple[int, 
     of groups, of u workers, number C(N - u, k - u), with the sign (-1)^|S|.
     The table is built by doubling, so entry i is the union of the groups
     whose bits are set in i, and its sign is the parity of i."""
-    unions = np.zeros(1, dtype=np.uint32)
+    unions = np.zeros(1, dtype=np.uint64)
     for m in masks:
         unions = np.concatenate((unions, unions | m))
     odd = np.bitwise_count(np.arange(unions.size, dtype=np.uint32)) & 1 == 1
@@ -490,8 +517,8 @@ def exact_expected_time_structure(
     Exact oracle from incomplete_subset_counts, independent of the closed
     forms for the specific policies: inclusion-exclusion over group unions
     below min(N, 16) distinct groups, else the upward closure over the 2^N
-    subsets, 20-40 ms at N = 24 whatever the number of groups. Guarded at
-    N <= 24.
+    subsets, 20-40 ms at N = 24 whatever the number of groups. Refused past
+    N = 24, unless there are fewer than 16 distinct groups and N <= 64.
     """
     rate = _require_rate(rate, "rate")
     return float(expected_time_structure_rational(structure, n_workers)) / rate

@@ -618,17 +618,26 @@ class TestCyclic:
         assert expected_time_cyclic_rational(6, 1) == Fraction(1, 6)
 
     def test_matches_structure_oracle_exactly(self):
-        for n, b in [(4, 2), (6, 2), (6, 3), (8, 4), (9, 3), (10, 5), (12, 4), (12, 6)]:
+        shapes = [(4, 2), (6, 2), (6, 3), (8, 4), (9, 3), (10, 5), (12, 4), (12, 6),
+                  (50, 5), (50, 10), (50, 25)]
+        for n, b in shapes:
             _, structure = cyclic_layout(n, b)
             assert expected_time_cyclic_rational(n, b) == expected_time_structure_rational(
                 structure, n
             ), (n, b)
+        relabelled = _relabelled_cyclic(50, 5, seed=50)
+        assert expected_time_structure_rational(relabelled, 50) == expected_time_cyclic_rational(
+            50, 5
+        )
 
     def test_matches_harmonic_sum(self):
-        # the closed form sum_j (-1)^(j+1) C(G, j) H_{jB}, term by term
-        h = _harmonics(2000)
+        # the closed form sum_j (-1)^(j+1) C(G, j) H_{jB}, term by term; the
+        # residue-class products take one math.prod up to G = 64 and a product
+        # tree past it
+        h = _harmonics(4000)
         shapes = [(6, 3), (12, 4), (30, 5), (40, 8), (7, 7), (9, 1), (60, 20),
-                  (1800, 20), (2000, 1), (2000, 2000)]
+                  (99, 33), (130, 65), (2000, 1000), (1800, 20), (2000, 1), (2000, 2000),
+                  (4000, 4)]
         for n, b in shapes:
             g = n // b
             direct = sum(
@@ -661,6 +670,10 @@ class TestCyclic:
         for n, b in ((14, 7), (12, 3)):
             with pytest.raises(ComplexityGuardError):
                 expected_time_cyclic_rational(n, b)
+
+    def test_memory_bounded(self, traced_peak):
+        # B products of G = 10^4 factors, not G binomials of up to G bits
+        assert traced_peak(lambda: expected_time_cyclic_rational(20000, 2)) < 2**20
 
     def test_rate_scaling_exact_in_float(self):
         base = expected_time_cyclic(12, 4)
@@ -765,6 +778,20 @@ class TestStructureOracle:
         groups = [{i} for i in range(MAX_STRUCTURE_WORKERS + 1)]
         with pytest.raises(ComplexityGuardError):
             incomplete_subset_counts(groups, MAX_STRUCTURE_WORKERS + 1)
+
+    def test_few_groups_past_24_workers(self):
+        """Past N = 24, fewer than 16 distinct groups are counted up to N = 64."""
+        for n, b in ((25, 5), (50, 5), (60, 4), (64, 8), (64, 64)):
+            _, structure = cyclic_layout(n, b)
+            assert incomplete_subset_counts(structure, n) == _cyclic_counts(n, b), (n, b)
+        # 21 idle workers multiply by (1 + x)^21
+        idle = _poly_mul(_cyclic_counts(4, 2)[:3], _binomial_poly(21))
+        assert incomplete_subset_counts([{0, 1}, {2, 3}], 25) == tuple(idle) + (0, 0)
+        guard = (r"^subset enumeration over (25|65) workers exceeds the N <= 24 guard \(N <= 64 "
+                 r"with fewer than 16 distinct groups\); estimate by Monte Carlo instead$")
+        for groups, n in (([{0, 1}, {2, 64}], 65), ([{i, i + 1} for i in range(16)], 25)):
+            with pytest.raises(ComplexityGuardError, match=guard):
+                incomplete_subset_counts(groups, n)
 
     def test_out_of_range_worker_rejected(self):
         with pytest.raises(DomainError):

@@ -326,11 +326,11 @@ class TestSimulateCommand:
 
     def test_guarded_exact_is_left_out(self, capsys):
         assert main([
-            "simulate", "--policy", "explicit-structure", "-N", "25", "--groups", "0,1;2,3",
+            "simulate", "--policy", "explicit-structure", "-N", "65", "--groups", "0,1;2,3",
             "--samples", "1000", "--seed", "0",
         ]) == EXIT_OK
         stdout = capsys.readouterr().out
-        assert _field(stdout, "n_workers") == "25"
+        assert _field(stdout, "n_workers") == "65"
         assert "exact:" not in stdout and "within_ci:" not in stdout
         # the groups imply no B, so the B = 1 placeholder is not shown
         assert "n_batches:" not in stdout
@@ -512,10 +512,20 @@ class TestExitCodes:
         assert "error:" in capsys.readouterr().err
 
     def test_structure_guard_error(self, capsys):
+        for n, groups in ((65, "0,1;2,64"), (25, ";".join(f"{i},{i + 1}" for i in range(16)))):
+            assert main([
+                "analyze", "--policy", "explicit-structure", "-N", str(n), "--groups", groups,
+            ]) == EXIT_GUARD
+            assert "N <= 24 guard (N <= 64 with fewer than 16 distinct groups)" in (
+                capsys.readouterr().err
+            )
+
+    def test_structure_past_24_with_few_groups(self, capsys):
+        # two disjoint pairs among 25 workers: the min of two pair maxima, 11/12
         assert main([
-            "analyze", "--policy", "explicit-structure", "-N", "25", "--groups", "0,1;2,24",
-        ]) == EXIT_GUARD
-        assert "N <= 24" in capsys.readouterr().err
+            "analyze", "--policy", "explicit-structure", "-N", "25", "--groups", "0,1;2,3",
+        ]) == EXIT_OK
+        assert _field(capsys.readouterr().out, "expected_time") == cli._fmt(11 / 12)
 
     @pytest.mark.parametrize("argv, guard", [
         (["--policy", "cyclic", "-N", "100000", "-B", "1"], "N <= 100000 and G <= 10000"),
