@@ -59,7 +59,6 @@ from .policies import (
     PolicySpec,
     balanced_assignment,
     resolve,
-    validate_policy,
 )
 from .sim import SimConfig, coverage_empirical, derive_seed, monte_carlo
 
@@ -162,8 +161,9 @@ class SweepSpec:
             raise DomainError(f"format must be 'csv' or 'json', got {self.format!r}")
         # Every (policy, B) pair must satisfy its divisibility requirements.
         for kind in kinds:
+            policy = PolicySpec(kind)
             for b in b_values:
-                validate_policy(PolicySpec(kind), kind.system(self.n_workers, b))
+                resolve(policy, policy.system(self.n_workers, b))
 
     @classmethod
     def from_dict(cls, data: dict, **overrides: object) -> "SweepSpec":
@@ -199,13 +199,13 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
 
     def evaluate(index: int) -> dict:
         policy_name, b, rate = points[index]
-        kind = PolicyKind(policy_name)
+        policy = PolicySpec(PolicyKind(policy_name))
         cfg = SimConfig(
             n_samples=spec.n_samples,
             seed=derive_seed(spec.seed, index),
             rate=rate,
-            policy=PolicySpec(kind),
-            system=kind.system(spec.n_workers, b, rate),
+            policy=policy,
+            system=policy.system(spec.n_workers, b),
         )
         estimate = monte_carlo(cfg)
         return {
@@ -334,34 +334,9 @@ def _policy_from_args(args: argparse.Namespace) -> PolicySpec:
     )
 
 
-def _infer_shape(spec: PolicySpec, args: argparse.Namespace) -> tuple[int, int]:
-    """(n_workers, n_batches) for the command, from the payload or the flags."""
-    n = args.n_workers
-    b = args.n_batches
-    if spec.vector is not None:
-        vec_n, vec_b = sum(spec.vector), len(spec.vector)
-        if n is not None and n != vec_n:
-            raise DomainError(f"--n-workers {n} contradicts the vector total {vec_n}")
-        if b is not None and b != vec_b:
-            raise DomainError(f"--n-batches {b} contradicts the vector length {vec_b}")
-        return vec_n, vec_b
-    if spec.kind.fixed_shape is not None:
-        fixed_n, fixed_b = spec.kind.fixed_shape
-        return (fixed_n if n is None else n), (fixed_b if b is None else b)
-    if spec.groups is not None:
-        if n is None:
-            raise DomainError("--n-workers is required for explicit-structure")
-        # The batch count is not derivable from the groups alone; it only
-        # feeds the report, so default it to 1 when not given.
-        return n, 1 if b is None else b
-    if n is None or b is None:
-        raise DomainError(f"--n-workers and --n-batches are required for {spec.kind.value}")
-    return n, b
-
-
 def _batches_known(spec: PolicySpec, args: argparse.Namespace) -> bool:
     """Whether B is the user's or the policy's, not the placeholder that
-    ``_infer_shape`` gives a structure without -B; reports show B only then."""
+    ``PolicySpec.system`` gives a structure without -B; reports show B only then."""
     return spec.groups is None or args.n_batches is not None
 
 
@@ -397,9 +372,9 @@ def cmd_coverage(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     spec = _policy_from_args(args)
-    n, b = _infer_shape(spec, args)
-    rate = args.rate
-    plan = resolve(spec, spec.kind.system(n, b, rate))
+    system = spec.system(args.n_workers, args.n_batches)
+    n, b, rate = system.n_workers, system.n_batches, args.rate
+    plan = resolve(spec, system)
     if plan.exact is None:
         raise DomainError(
             "random-cc re-draws the assignment per trial and has no exact expected "
@@ -444,17 +419,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     spec = _policy_from_args(args)
-    n, b = _infer_shape(spec, args)
+    system = spec.system(args.n_workers, args.n_batches)
     _require_ci_samples(args.samples)
-    system = spec.kind.system(n, b, args.rate)
     cfg = SimConfig(
         n_samples=args.samples, seed=args.seed, rate=args.rate, policy=spec, system=system
     )
     estimate = monte_carlo(cfg)
     exact = _exact_or_none(cfg.plan, args.rate)
-    lines = [("policy", spec.kind.value), ("n_workers", str(n))]
+    lines = [("policy", spec.kind.value), ("n_workers", str(system.n_workers))]
     if _batches_known(spec, args):
-        lines.append(("n_batches", str(b)))
+        lines.append(("n_batches", str(system.n_batches)))
     lines += [
         ("rate", _fmt(args.rate)),
         ("n_samples", str(args.samples)),
@@ -503,15 +477,15 @@ def cmd_compare_policies(args: argparse.Namespace) -> int:
             n_samples=args.samples,
             seed=derive_seed(args.seed, index),
             rate=args.rate,
-            policy=PolicySpec(kind),
-            system=kind.system(6, 3, args.rate),
+            policy=policy,
+            system=policy.system(6, 3),
         )
-        for index, (label, kind) in enumerate((
-            ("cyclic", PolicyKind.CYCLIC),
-            ("grouped-overlap", PolicyKind.GROUPED_OVERLAP),
+        for index, (label, policy) in enumerate((
+            ("cyclic", PolicySpec(PolicyKind.CYCLIC)),
+            ("grouped-overlap", PolicySpec(PolicyKind.GROUPED_OVERLAP)),
             # the max over batches of replica minima is the min over the
             # replicated layout's groups of group maxima, trial by trial
-            ("replicated", PolicyKind.BALANCED),
+            ("replicated", PolicySpec(PolicyKind.BALANCED)),
         ))
     }
     exacts = {label: cfg.plan.exact(args.rate) for label, cfg in cfgs.items()}

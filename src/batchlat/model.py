@@ -116,7 +116,9 @@ class SystemParams:
 
     Positivity is enforced at construction. Divisibility depends on the
     policy, so ``policies.resolve`` checks it: B | S always, and S = N for
-    the overlapping kinds.
+    the overlapping kinds. No code in the package reads ``rate``, since
+    ``SimConfig.rate`` drives sampling; it stays because the benchmark in
+    ``perfbench/`` passes it.
     """
 
     n_workers: int

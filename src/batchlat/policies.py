@@ -7,10 +7,13 @@ batching gives each worker a window of blocks that may intersect other
 workers' windows; completion is then governed by a RecoveryStructure of
 worker groups whose batches partition the block set.
 
-``resolve`` is where a kind's meaning lives: it checks a policy against a
-system, then returns a Plan holding the policy's replica counts, recovery
-groups and exact closed form, which the sampler and the CLI read.
-``validate_policy`` is ``resolve`` with the plan thrown away.
+A kind's meaning lives in two places here. ``PolicySpec.system`` picks the
+system a policy runs on from the sizes a caller gives, and ``resolve``
+checks a policy against a system, then returns a Plan holding the policy's
+replica counts, recovery groups and exact closed form, which the sampler
+and the CLI read. ``validate_policy`` is ``resolve`` with the plan thrown
+away; no code in the package calls it, and it stays only because the
+benchmark in ``perfbench/`` traces it by name.
 """
 
 from __future__ import annotations
@@ -51,6 +54,15 @@ __all__ = [
 #: many groups; the assignment-vector form covers those cases compactly.
 MAX_REPLICATED_GROUPS = 4096
 
+# The grouped-overlap policy: the shared-pair layout's one (N, B) and its groups.
+_SHARED_PAIR_SHAPE = (6, 3)
+_SHARED_PAIR_GROUPS = (
+    frozenset({0, 2, 4}),
+    frozenset({0, 2, 5}),
+    frozenset({1, 3, 4}),
+    frozenset({1, 3, 5}),
+)
+
 
 class PolicyKind(str, Enum):
     """The policy families accepted by the simulator and the CLI."""
@@ -74,23 +86,6 @@ class PolicyKind(str, Enum):
         """Whether a PolicySpec of this kind needs a vector or groups; such a
         kind cannot be swept, since a sweep grid has no payload to give it."""
         return self in (PolicyKind.EXPLICIT_VECTOR, PolicyKind.EXPLICIT_STRUCTURE)
-
-    @property
-    def fixed_shape(self) -> tuple[int, int] | None:
-        """(N, B) of a kind that exists at one shape only."""
-        return (6, 3) if self is PolicyKind.GROUPED_OVERLAP else None
-
-    def system(self, n_workers: int, n_batches: int, rate: float = 1.0) -> SystemParams:
-        """SystemParams for this kind, picking the canonical block count.
-
-        Overlapping and structure policies use S = N. Non-overlapping timing
-        does not depend on the block count, so S defaults to N when divisible
-        and to B (one block per batch) otherwise.
-        """
-        n_blocks = n_workers
-        if self in (PolicyKind.BALANCED, PolicyKind.EXPLICIT_VECTOR, PolicyKind.RANDOM_CC):
-            n_blocks = n_workers if n_workers % n_batches == 0 else n_batches
-        return SystemParams(n_workers, n_blocks, n_batches, rate)
 
 
 @dataclass(frozen=True)
@@ -121,6 +116,29 @@ class PolicySpec:
             object.__setattr__(self, "groups", _require_groups(self.groups))
         elif self.groups is not None:
             raise DomainError(f"policy kind {kind.value!r} takes no groups payload")
+
+    def system(self, n_workers: int | None = None, n_batches: int | None = None) -> SystemParams:
+        """The system this policy runs on, given the N and B that a caller fixes.
+
+        Where a size is not given, a vector gives N = sum and B = len,
+        grouped-overlap gives (6, 3) and explicit-structure B = 1; every other
+        size is required. S = B for the non-overlapping kinds and S = N for
+        the rest. ``resolve`` refuses a given size that contradicts the policy.
+        """
+        default_n = default_b = None
+        if self.vector is not None:
+            default_n, default_b = sum(self.vector), len(self.vector)
+        elif self.kind is PolicyKind.GROUPED_OVERLAP:
+            default_n, default_b = _SHARED_PAIR_SHAPE
+        elif self.kind is PolicyKind.EXPLICIT_STRUCTURE:
+            default_b = 1  # the groups do not fix B, which only feeds reports
+        n = default_n if n_workers is None else n_workers
+        b = default_b if n_batches is None else n_batches
+        if n is None or b is None:
+            needed = "n_workers is" if default_b is not None else "n_workers and n_batches are"
+            raise DomainError(f"{needed} required for {self.kind.value}")
+        non_overlapping = (PolicyKind.BALANCED, PolicyKind.EXPLICIT_VECTOR, PolicyKind.RANDOM_CC)
+        return SystemParams(n, b if self.kind in non_overlapping else n, b)
 
 
 def balanced_assignment(n_workers: int, n_batches: int) -> AssignmentVector:
@@ -168,13 +186,7 @@ def shared_pair_layout() -> tuple[BatchLayout, RecoveryStructure]:
         frozenset({4, 5}),
         frozenset({4, 5}),
     )
-    groups = (
-        frozenset({0, 2, 4}),
-        frozenset({0, 2, 5}),
-        frozenset({1, 3, 4}),
-        frozenset({1, 3, 5}),
-    )
-    return BatchLayout(batches, n_blocks=6), RecoveryStructure(groups)
+    return BatchLayout(batches, n_blocks=6), RecoveryStructure(_SHARED_PAIR_GROUPS)
 
 
 def replicated_nonoverlap_layout(
@@ -190,17 +202,17 @@ def replicated_nonoverlap_layout(
     the assignment-vector form for larger systems.
     """
     replication = _require_replication(n_workers, n_batches, "replicated layout")
-    batches = tuple(
-        frozenset(range(start, start + replication))
-        for start in range(0, n_workers, replication)
-        for _ in range(replication)
-    )
     n_groups = replication**n_batches
     if n_groups > MAX_REPLICATED_GROUPS:
         raise ComplexityGuardError(
             f"replicated layout would need {n_groups} recovery groups "
             f"(> {MAX_REPLICATED_GROUPS}); use the balanced AssignmentVector instead"
         )
+    batches = tuple(
+        frozenset(range(start, start + replication))
+        for start in range(0, n_workers, replication)
+        for _ in range(replication)
+    )
     groups = tuple(
         frozenset(b * replication + pick[b] for b in range(n_batches))
         for pick in itertools.product(range(replication), repeat=n_batches)
@@ -272,22 +284,23 @@ def resolve(spec: PolicySpec, params: SystemParams) -> Plan:
             exact=lambda rate: analytics.expected_time_cyclic(n, b, rate),
         )
     if kind is PolicyKind.GROUPED_OVERLAP:
-        if kind.fixed_shape != (n, b):
+        if (n, b) != _SHARED_PAIR_SHAPE:
             raise DomainError(
                 "the grouped-overlap policy is a fixed six-worker, three-batch instance"
             )
+        groups = _SHARED_PAIR_GROUPS
     else:  # explicit-structure
-        _require_groups(spec.groups, n)
-
-    def groups() -> tuple[frozenset[int], ...]:
-        return shared_pair_layout()[1].groups if spec.groups is None else spec.groups
-
+        groups = _require_groups(spec.groups, n)
     return Plan(
-        groups=groups,
-        exact=lambda rate: analytics.exact_expected_time_structure(groups(), n, rate),
+        groups=lambda: groups,
+        exact=lambda rate: analytics.exact_expected_time_structure(groups, n, rate),
     )
 
 
 def validate_policy(spec: PolicySpec, params: SystemParams) -> None:
-    """``resolve`` with the plan thrown away: raises exactly where it does."""
+    """``resolve`` with the plan thrown away: raises exactly where it does.
+
+    No code in the package calls it; it stays because the benchmark in
+    ``perfbench/`` traces it by name.
+    """
     resolve(spec, params)

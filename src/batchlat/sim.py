@@ -155,10 +155,9 @@ class SimConfig:
     """One Monte Carlo run: trial count (1 to 2^53), master seed, rate,
     policy, system.
 
-    ``rate`` is the service rate actually used for sampling; construct
-    ``system`` with the same rate to keep the record consistent. ``plan`` is
-    resolved once, at construction, so a policy that does not fit the system
-    raises here and the run itself resolves nothing.
+    ``rate`` is the service rate used for sampling; ``system.rate`` is not
+    read. ``plan`` is resolved once, at construction, so a policy that does
+    not fit the system raises here and the run itself resolves nothing.
     """
 
     n_samples: int

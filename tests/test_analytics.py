@@ -327,6 +327,17 @@ class TestStirling:
         with pytest.raises(DomainError):
             stirling2(-1, 2)
 
+    def test_work_guard(self):
+        # n^2 * k * log2(k + 1) is exactly 2^34 at (131072, 1), and just past it
+        # one step on; at n = 10^200 it is past the float range
+        assert stirling2(131_072, 1) == 1
+        for n, k in ((131_073, 1), (5080, 100), (10**200, 3)):
+            with pytest.raises(ComplexityGuardError, match=(
+                rf"^S\({n}, {k}\) exceeds the n\^2\*k\*log2\(k\+1\) <= 2\^34 guard"
+                " on the recurrence's work$"
+            )):
+                stirling2(n, k)
+
 
 class TestSurjections:
     def test_power_table(self):

@@ -537,13 +537,13 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv, message", [
         (["--policy", "explicit-vector", "--vector", "3,2,1", "-N", "7"],
-         "--n-workers 7 contradicts the vector total 6"),
+         "vector assigns 6 workers but the system has 7"),
         (["--policy", "explicit-vector", "--vector", "3,2,1", "-B", "2"],
-         "--n-batches 2 contradicts the vector length 3"),
+         "vector has 3 entries but the system has 2 batches"),
         (["--policy", "explicit-structure", "--groups", "0,1"],
-         "--n-workers is required for explicit-structure"),
+         "n_workers is required for explicit-structure"),
         (["--policy", "balanced", "-N", "6"],
-         "--n-workers and --n-batches are required for balanced"),
+         "n_workers and n_batches are required for balanced"),
     ], ids=["vector-total", "vector-length", "structure-without-n", "balanced-without-b"])
     def test_shape_refused(self, argv, message, capsys):
         assert main(["analyze", *argv]) == EXIT_USAGE

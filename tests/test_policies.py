@@ -1,6 +1,7 @@
 """Policy constructors: literal layouts, invariants, and payload validation."""
 
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -149,6 +150,17 @@ class TestReplicatedLayout:
             replicated_nonoverlap_layout(50, 25)
         assert 2**25 > MAX_REPLICATED_GROUPS
 
+    def test_group_count_guard_builds_nothing(self, traced_peak):
+        # building the 2000 batches of 1000 workers first took 116 MiB traced
+        def refuse():
+            with pytest.raises(ComplexityGuardError, match=(
+                r"^replicated layout would need 1000000 recovery groups \(> 4096\); "
+                "use the balanced AssignmentVector instead$"
+            )):
+                replicated_nonoverlap_layout(2000, 2)
+
+        assert traced_peak(refuse) < 2**20
+
     def test_nondivisible_rejected(self):
         with pytest.raises(NonDivisibleError):
             replicated_nonoverlap_layout(10, 4)
@@ -248,6 +260,56 @@ class TestPolicySpec:
     def test_groups_normalized(self):
         spec = PolicySpec(PolicyKind.EXPLICIT_STRUCTURE, groups=([0, 2], [1, 3]))
         assert spec.groups == (frozenset({0, 2}), frozenset({1, 3}))
+
+
+_VECTOR = PolicySpec(PolicyKind.EXPLICIT_VECTOR, vector=(3, 2, 1))
+_STRUCTURE = PolicySpec(PolicyKind.EXPLICIT_STRUCTURE, groups=({0, 2, 4}, {1, 3, 5}))
+
+
+class TestSystem:
+    """PolicySpec.system fills in the sizes a policy fixes and picks S; the
+    sizes that contradict the policy pass through it and ``resolve`` refuses them."""
+
+    @pytest.mark.parametrize("spec, given, system", [
+        (PolicySpec(PolicyKind.BALANCED), (6, 3), (6, 3, 3)),
+        (PolicySpec(PolicyKind.BALANCED), (10, 4), (10, 4, 4)),
+        (_VECTOR, (None, None), (6, 3, 3)),
+        (_VECTOR, (6, 3), (6, 3, 3)),
+        (PolicySpec(PolicyKind.RANDOM_CC), (12, 3), (12, 3, 3)),
+        (PolicySpec(PolicyKind.CYCLIC), (12, 4), (12, 12, 4)),
+        (PolicySpec(PolicyKind.GROUPED_OVERLAP), (None, None), (6, 6, 3)),
+        (PolicySpec(PolicyKind.GROUPED_OVERLAP), (6, 3), (6, 6, 3)),
+        (_STRUCTURE, (6, None), (6, 6, 1)),
+        (_STRUCTURE, (6, 3), (6, 6, 3)),
+    ], ids=lambda v: v.kind.value if isinstance(v, PolicySpec) else None)
+    def test_sizes_and_blocks(self, spec, given, system):
+        assert spec.system(*given) == SystemParams(*system)
+
+    @pytest.mark.parametrize("spec, given, needed", [
+        (_STRUCTURE, (None, None), "n_workers is"),
+        (_STRUCTURE, (None, 1), "n_workers is"),
+        (PolicySpec(PolicyKind.BALANCED), (6, None), "n_workers and n_batches are"),
+        (PolicySpec(PolicyKind.RANDOM_CC), (None, 3), "n_workers and n_batches are"),
+        (PolicySpec(PolicyKind.CYCLIC), (None, None), "n_workers and n_batches are"),
+    ], ids=lambda v: v.kind.value if isinstance(v, PolicySpec) else None)
+    def test_missing_size_refused(self, spec, given, needed):
+        with pytest.raises(DomainError, match=f"^{needed} required for {spec.kind.value}$"):
+            spec.system(*given)
+
+    @pytest.mark.parametrize("spec, given, error, message", [
+        (_VECTOR, (7, None), DomainError, "vector assigns 6 workers but the system has 7"),
+        (_VECTOR, (None, 2), DomainError, "vector has 3 entries but the system has 2 batches"),
+        (PolicySpec(PolicyKind.GROUPED_OVERLAP), (7, None), NonDivisibleError,
+         "n_batches=3 must divide n_blocks=7"),
+        (PolicySpec(PolicyKind.GROUPED_OVERLAP), (12, 4), DomainError,
+         "the grouped-overlap policy is a fixed six-worker, three-batch instance"),
+        (_STRUCTURE, (7, 2), NonDivisibleError, "n_batches=2 must divide n_blocks=7"),
+    ], ids=["vector-total", "vector-length", "grouped-overlap-7-3", "grouped-overlap-12-4",
+            "structure-b-not-dividing-n"])
+    def test_contradicting_size_refused_by_resolve(self, spec, given, error, message):
+        system = spec.system(*given)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            resolve(spec, system)
 
 
 class TestValidatePolicy:

@@ -360,7 +360,7 @@ def test_kind_matches_its_explicit_structure(kind, layout, n, b):
     structure = PolicySpec(PolicyKind.EXPLICIT_STRUCTURE, groups=layout(n, b)[1].groups)
     cfgs = [
         SimConfig(n_samples=20_000, seed=3, rate=0.7, policy=spec,
-                  system=spec.kind.system(n, b, 0.7))
+                  system=spec.system(n, b))
         for spec in (PolicySpec(kind), structure)
     ]
     assert monte_carlo(cfgs[0]) == monte_carlo(cfgs[1])
