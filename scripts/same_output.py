@@ -44,10 +44,11 @@ COMMANDS = [
     "analyze --policy explicit-structure --groups 0,1",
     "analyze --policy balanced -N 6",
     "analyze --policy cyclic -N 100000 -B 1",
-    # simulate: every kind
+    # simulate: every kind, and random-cc with more batches than workers
     "simulate --policy balanced -N 6 -B 3 --samples 20000",
     "simulate --policy explicit-vector --vector 3,2,1 --samples 20000 --rate 2",
     "simulate --policy random-cc -N 12 -B 3 --samples 20000",
+    "simulate --policy random-cc -N 2 -B 5 --samples 200000",
     "simulate --policy cyclic -N 12 -B 4 --samples 20000",
     "simulate --policy grouped-overlap --samples 20000",
     "simulate --policy explicit-structure -N 6 -B 3 --groups '0,2,4;1,3,5' --samples 20000",

@@ -4,7 +4,6 @@ service times."""
 
 from .model import (
     AssignmentVector,
-    BatchLayout,
     BatchlatError,
     CompletionEstimate,
     ComplexityGuardError,
@@ -54,7 +53,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AssignmentVector",
-    "BatchLayout",
     "BatchlatError",
     "CompletionEstimate",
     "ComplexityGuardError",

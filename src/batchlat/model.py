@@ -152,72 +152,14 @@ class AssignmentVector:
 
 
 @dataclass(frozen=True)
-class BatchLayout:
-    """Per-worker block sets for overlapping batching.
-
-    ``batches[w]`` is the set of block ids held by worker w. Construction
-    enforces: equal batch sizes, batch size dividing ``n_blocks``, ids in
-    range, no duplicate block within a batch, and a uniform replication
-    factor (every block held by exactly ``n_workers * batch_size / n_blocks``
-    workers).
-    """
-
-    batches: tuple[frozenset[int], ...]
-    n_blocks: int
-
-    def __post_init__(self) -> None:
-        _require_positive_int(self.n_blocks, "n_blocks")
-        raw = tuple(self.batches)
-        if len(raw) == 0:
-            raise DomainError("layout must have at least one worker batch")
-        norm: list[frozenset[int]] = []
-        for w, batch in enumerate(raw):
-            items = list(batch)
-            fs = frozenset(items)
-            if len(fs) != len(items):
-                raise DomainError(f"batch of worker {w} contains a duplicate block")
-            if not fs:
-                raise DomainError(f"batch of worker {w} is empty")
-            for b in fs:
-                if isinstance(b, bool) or not isinstance(b, int):
-                    raise DomainError(f"block ids must be integers, got {b!r}")
-                if not 0 <= b < self.n_blocks:
-                    raise DomainError(f"block id {b} out of range [0, {self.n_blocks})")
-            norm.append(fs)
-        sizes = {len(fs) for fs in norm}
-        if len(sizes) != 1:
-            raise DomainError(f"all batches must have equal size, got sizes {sorted(sizes)}")
-        size = sizes.pop()
-        if self.n_blocks % size != 0:
-            raise NonDivisibleError(
-                f"batch size {size} must divide n_blocks={self.n_blocks}"
-            )
-        replication, rem = divmod(len(norm) * size, self.n_blocks)
-        if rem != 0:
-            raise NonDivisibleError(
-                "total block slots must be a multiple of n_blocks "
-                f"(got {len(norm)} batches of size {size} over {self.n_blocks} blocks)"
-            )
-        counts = [0] * self.n_blocks
-        for fs in norm:
-            for b in fs:
-                counts[b] += 1
-        if any(c != replication for c in counts):
-            raise DomainError(
-                f"every block must appear in exactly {replication} batches, "
-                f"got counts {counts}"
-            )
-        object.__setattr__(self, "batches", tuple(norm))
-
-
-@dataclass(frozen=True)
 class RecoveryStructure:
     """Worker groups defining job completion for overlapping batching.
 
     The job completes as soon as every worker of some group has finished.
     For a structure to be meaningful against a layout, each group's batches
-    must exactly partition the block set; the layout constructors in
-    ``policies`` return groups that do.
+    must exactly partition the block set. The layout constructors in
+    ``policies`` return groups that do, next to the layout itself: a plain
+    tuple whose entry w is the frozenset of worker w's block ids.
     """
 
     groups: tuple[frozenset[int], ...]

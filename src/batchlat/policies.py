@@ -26,7 +26,6 @@ from enum import Enum
 from . import analytics
 from .model import (
     AssignmentVector,
-    BatchLayout,
     ComplexityGuardError,
     DomainError,
     NonDivisibleError,
@@ -147,20 +146,22 @@ def balanced_assignment(n_workers: int, n_batches: int) -> AssignmentVector:
     return AssignmentVector((replication,) * n_batches)
 
 
-def cyclic_layout(n_workers: int, n_batches: int) -> tuple[BatchLayout, RecoveryStructure]:
-    """Cyclic overlapping batching over S = N blocks.
+def cyclic_layout(
+    n_workers: int, n_batches: int
+) -> tuple[tuple[frozenset[int], ...], RecoveryStructure]:
+    """Cyclic overlapping batching over S = N blocks, as (batches, structure).
 
-    Worker w holds the window of N/B consecutive blocks starting at block w,
-    wrapping modulo N. The N/B recovery groups are the stride-N/B worker
-    sets {r, r + N/B, r + 2N/B, ...}; each group's windows tile the block
-    set exactly.
+    ``batches[w]``, worker w's block ids, is the window of N/B consecutive
+    blocks starting at block w, wrapping modulo N. The N/B recovery groups
+    are the stride-N/B worker sets {r, r + N/B, r + 2N/B, ...}; each group's
+    windows tile the block set exactly.
     """
     size = _require_replication(n_workers, n_batches, "cyclic layout")
     batches = tuple(
         frozenset((w + j) % n_workers for j in range(size)) for w in range(n_workers)
     )
     structure = RecoveryStructure(_cyclic_groups(n_workers, size))
-    return BatchLayout(batches, n_blocks=n_workers), structure
+    return batches, structure
 
 
 def _cyclic_groups(n_workers: int, size: int) -> tuple[frozenset[int], ...]:
@@ -169,8 +170,9 @@ def _cyclic_groups(n_workers: int, size: int) -> tuple[frozenset[int], ...]:
     return tuple(frozenset(range(r, n_workers, size)) for r in range(size))
 
 
-def shared_pair_layout() -> tuple[BatchLayout, RecoveryStructure]:
-    """Fixed six-worker overlapping layout with a shared trailing block pair.
+def shared_pair_layout() -> tuple[tuple[frozenset[int], ...], RecoveryStructure]:
+    """Fixed six-worker overlapping layout with a shared trailing block pair,
+    as (batches, structure), ``batches[w]`` holding worker w's block ids.
 
     Workers 4 and 5 hold the identical batch {4, 5}, so the four recovery
     groups all route through one of them; workers 0..3 hold the wrapped
@@ -186,13 +188,14 @@ def shared_pair_layout() -> tuple[BatchLayout, RecoveryStructure]:
         frozenset({4, 5}),
         frozenset({4, 5}),
     )
-    return BatchLayout(batches, n_blocks=6), RecoveryStructure(_SHARED_PAIR_GROUPS)
+    return batches, RecoveryStructure(_SHARED_PAIR_GROUPS)
 
 
 def replicated_nonoverlap_layout(
     n_workers: int, n_batches: int
-) -> tuple[BatchLayout, RecoveryStructure]:
-    """Non-overlapping batching expressed as a layout over S = N blocks.
+) -> tuple[tuple[frozenset[int], ...], RecoveryStructure]:
+    """Non-overlapping batching expressed as a layout over S = N blocks, as
+    (batches, structure), ``batches[w]`` holding worker w's block ids.
 
     Workers come in runs of N/B holding an identical batch of N/B
     consecutive blocks. The recovery groups are every pick of one replica
@@ -217,7 +220,7 @@ def replicated_nonoverlap_layout(
         frozenset(b * replication + pick[b] for b in range(n_batches))
         for pick in itertools.product(range(replication), repeat=n_batches)
     )
-    return BatchLayout(batches, n_blocks=n_workers), RecoveryStructure(groups)
+    return batches, RecoveryStructure(groups)
 
 
 @dataclass(frozen=True)

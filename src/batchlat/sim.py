@@ -260,7 +260,9 @@ def monte_carlo(cfg: SimConfig) -> CompletionEstimate:
         draws *= 2  # N batch draws, then N service draws
         kernel = functools.partial(_run_random_cc, n_batches=cfg.system.n_batches)
     n_covered, mean, m2 = 0, 0.0, 0.0
-    per_trial = map(kernel, _chunks(cfg.seed, n, draws))
+    # random-cc's N draws hit at most N batches, so with B > N no trial covers
+    covers = cfg.system.n_batches <= cfg.system.n_workers
+    per_trial = map(kernel, _chunks(cfg.seed, n, draws) if covers else ())
     for block in _blocks(per_trial, min(_BLOCK, n)):
         finite = np.isfinite(block)  # random-cc's uncovered trials stay inf
         k = int(np.count_nonzero(finite))

@@ -8,7 +8,6 @@ import pytest
 
 from batchlat.model import (
     AssignmentVector,
-    BatchLayout,
     CompletionEstimate,
     DomainError,
     NonDivisibleError,
@@ -108,47 +107,6 @@ class TestAssignmentVector:
     def test_non_integer_rejected(self):
         with pytest.raises(DomainError):
             AssignmentVector((2.0, 2, 2))
-
-
-class TestBatchLayout:
-    def test_valid_layout(self):
-        layout = BatchLayout(({0, 1}, {1, 2}, {2, 3}, {3, 0}), n_blocks=4)
-        assert len(layout.batches) == 4
-        assert len(layout.batches[0]) == 2
-        assert layout.n_blocks // len(layout.batches[0]) == 2
-        assert sum(0 in batch for batch in layout.batches) == 2
-
-    def test_duplicate_block_in_batch_rejected(self):
-        with pytest.raises(DomainError):
-            BatchLayout(([0, 0], [1, 2], [2, 1], [0, 1]), n_blocks=3)
-
-    def test_unequal_batch_sizes_rejected(self):
-        with pytest.raises(DomainError):
-            BatchLayout(({0, 1}, {2}), n_blocks=3)
-
-    def test_out_of_range_block_rejected(self):
-        with pytest.raises(DomainError):
-            BatchLayout(({0, 4}, {1, 2}), n_blocks=4)
-
-    def test_nonuniform_replication_rejected(self):
-        # block 0 appears twice, block 3 never
-        with pytest.raises(DomainError):
-            BatchLayout(({0, 1}, {0, 2}), n_blocks=4)
-
-    def test_batch_size_must_divide_blocks(self):
-        with pytest.raises(NonDivisibleError):
-            BatchLayout(({0, 1}, {1, 2}, {2, 0}), n_blocks=3)
-
-    @pytest.mark.parametrize("batches, error, message", [
-        ((), DomainError, "layout must have at least one worker batch"),
-        (({0, 1}, set()), DomainError, "batch of worker 1 is empty"),
-        (({0, 1.5}, {2, 3}), DomainError, "block ids must be integers, got 1.5"),
-        (({0, 1}, {1, 2}, {2, 3}), NonDivisibleError,
-         r"total block slots must be a multiple of n_blocks \(got 3 batches of size 2 over 4 blocks\)"),
-    ], ids=["no-batches", "empty-batch", "non-int-id", "slots"])
-    def test_refused(self, batches, error, message):
-        with pytest.raises(error, match=f"^{message}$"):
-            BatchLayout(batches, n_blocks=4)
 
 
 class TestRecoveryStructure:

@@ -2,6 +2,7 @@
 
 import itertools
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,6 @@ from batchlat.analytics import (
 )
 from batchlat.model import (
     AssignmentVector,
-    BatchLayout,
     ComplexityGuardError,
     DomainError,
     NonDivisibleError,
@@ -51,8 +51,8 @@ class TestBalancedAssignment:
 
 class TestCyclicLayout:
     def test_literal_six_three(self):
-        layout, structure = cyclic_layout(6, 3)
-        assert layout.batches == (
+        batches, structure = cyclic_layout(6, 3)
+        assert batches == (
             frozenset({0, 1}),
             frozenset({1, 2}),
             frozenset({2, 3}),
@@ -64,11 +64,11 @@ class TestCyclicLayout:
 
     @pytest.mark.parametrize("n,b", [(4, 2), (6, 2), (6, 3), (8, 4), (9, 3), (10, 5), (12, 4), (12, 6)])
     def test_invariants(self, n, b):
-        layout, structure = cyclic_layout(n, b)
+        batches, structure = cyclic_layout(n, b)
         size = n // b
-        assert len(layout.batches) == n
-        assert len(layout.batches[0]) == size
-        assert sum(0 in batch for batch in layout.batches) == size
+        assert len(batches) == n
+        assert len(batches[0]) == size
+        assert sum(0 in batch for batch in batches) == size
         assert len(structure.groups) == size
         # groups partition the workers
         seen = set()
@@ -80,13 +80,13 @@ class TestCyclicLayout:
 
     @pytest.mark.parametrize("n,b", [(4, 2), (6, 2), (6, 3), (8, 4), (9, 3), (10, 5), (12, 4), (12, 6)])
     def test_each_batch_overlaps_exactly_its_window_neighbours(self, n, b):
-        layout, _ = cyclic_layout(n, b)
+        batches, _ = cyclic_layout(n, b)
         size = n // b
         for w in range(n):
             others = sum(
                 1
                 for u in range(n)
-                if u != w and layout.batches[u] & layout.batches[w]
+                if u != w and batches[u] & batches[w]
             )
             assert others == 2 * (size - 1), w
 
@@ -97,10 +97,10 @@ class TestCyclicLayout:
 
 class TestSharedPairLayout:
     def test_literal(self):
-        layout, structure = shared_pair_layout()
-        assert len(layout.batches) == 6
-        assert len(layout.batches[0]) == 2
-        assert layout.batches[4] == layout.batches[5] == frozenset({4, 5})
+        batches, structure = shared_pair_layout()
+        assert len(batches) == 6
+        assert len(batches[0]) == 2
+        assert batches[4] == batches[5] == frozenset({4, 5})
         assert structure.groups == (
             frozenset({0, 2, 4}),
             frozenset({0, 2, 5}),
@@ -120,8 +120,8 @@ class TestSharedPairLayout:
 
 class TestReplicatedLayout:
     def test_six_three(self):
-        layout, structure = replicated_nonoverlap_layout(6, 3)
-        assert layout.batches == (
+        batches, structure = replicated_nonoverlap_layout(6, 3)
+        assert batches == (
             frozenset({0, 1}),
             frozenset({0, 1}),
             frozenset({2, 3}),
@@ -139,10 +139,10 @@ class TestReplicatedLayout:
         assert expected_time_structure_rational(structure, 6) == Fraction(11, 12)
 
     def test_no_replication_collapses_to_single_group(self):
-        layout, structure = replicated_nonoverlap_layout(6, 6)
+        batches, structure = replicated_nonoverlap_layout(6, 6)
         assert structure.groups == (frozenset(range(6)),)
         assert expected_time_structure_rational(structure, 6) == harmonic(6)
-        assert sum(0 in batch for batch in layout.batches) == 1
+        assert sum(0 in batch for batch in batches) == 1
 
     def test_group_count_guard(self):
         # 2^25 picks
@@ -186,45 +186,56 @@ def test_b_divides_n_rule(route, layout):
         route(6, -4)
 
 
-def _exact_covers(layout: BatchLayout) -> set[frozenset[int]]:
-    """Every set of workers whose batches partition the block set, by brute
-    force over all worker subsets."""
-    blocks = frozenset(range(layout.n_blocks))
+def _assert_uniform(batches, n_blocks: int) -> None:
+    """Equal batch sizes, block ids in range(S), and every block held by
+    N * size / S workers: the invariant each layout constructor keeps."""
+    (size,) = {len(batch) for batch in batches}
+    held = Counter(block for batch in batches for block in batch)
+    assert held == dict.fromkeys(range(n_blocks), len(batches) * size // n_blocks)
+
+
+def _exact_covers(batches, n_blocks: int) -> set[frozenset[int]]:
+    """Every set of workers whose batches partition the S = ``n_blocks``
+    blocks, by brute force over all worker subsets."""
+    blocks = frozenset(range(n_blocks))
     covers = set()
-    n_workers = len(layout.batches)
-    for r in range(1, n_workers + 1):
-        for workers in itertools.combinations(range(n_workers), r):
-            batches = [layout.batches[w] for w in workers]
+    for r in range(1, len(batches) + 1):
+        for workers in itertools.combinations(range(len(batches)), r):
+            chosen = [batches[w] for w in workers]
             # sizes summing to S and a union of all S blocks: a partition
-            if sum(map(len, batches)) == len(blocks) and frozenset().union(*batches) == blocks:
+            if sum(map(len, chosen)) == n_blocks and frozenset().union(*chosen) == blocks:
                 covers.add(frozenset(workers))
     return covers
 
 
 class TestExactCovers:
-    """A constructor's recovery groups are exactly its layout's exact covers:
-    the job ends once every block is held by disjoint finished batches."""
+    """A constructor's block sets are uniform, and its recovery groups are
+    exactly their exact covers: the job ends once every block is held by
+    disjoint finished batches."""
 
     @pytest.mark.parametrize("n, b", [
         (4, 2), (6, 1), (6, 2), (6, 3), (6, 6), (8, 4), (9, 3), (10, 5), (12, 3), (12, 4), (12, 6)
     ])
     def test_cyclic(self, n, b):
-        layout, structure = cyclic_layout(n, b)
-        assert _exact_covers(layout) == set(structure.groups)
+        batches, structure = cyclic_layout(n, b)
+        _assert_uniform(batches, n)
+        assert _exact_covers(batches, n) == set(structure.groups)
 
     def test_shared_pair(self):
-        layout, structure = shared_pair_layout()
-        assert _exact_covers(layout) == set(structure.groups)
+        batches, structure = shared_pair_layout()
+        _assert_uniform(batches, 6)
+        assert _exact_covers(batches, 6) == set(structure.groups)
 
     @pytest.mark.parametrize("n, b", [(6, 3), (8, 4), (9, 3), (12, 4)])
     def test_replicated(self, n, b):
-        layout, structure = replicated_nonoverlap_layout(n, b)
-        assert _exact_covers(layout) == set(structure.groups)
+        batches, structure = replicated_nonoverlap_layout(n, b)
+        _assert_uniform(batches, n)
+        assert _exact_covers(batches, n) == set(structure.groups)
 
     def test_layout_without_cover(self):
         # two disjoint triangles: odd vertex sets admit no disjoint pair cover
         batches = ({0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3})
-        assert _exact_covers(BatchLayout(batches, n_blocks=6)) == set()
+        assert _exact_covers(batches, 6) == set()
 
 
 class TestPolicySpec:

@@ -278,10 +278,10 @@ class TestReduceBeforeTransform:
         ids=["cyclic-50-5", "cyclic-50-10", "cyclic-50-25", "replicated-16-4"],
     )
     def test_groups(self, layout):
-        layout, structure = layout
+        batches, structure = layout
         columns = [sorted(g) for g in structure.groups]
         for seed in range(2):
-            u = self._chunk(seed, 2000, len(layout.batches))
+            u = self._chunk(seed, 2000, len(batches))
             for rate in self.RATES:
                 got = _transformed(_min_of_max(u, columns), rate)
                 assert np.array_equal(got, _ref_groups(u, columns, rate))
@@ -393,8 +393,12 @@ class TestRandomCc:
         # redundancy helps, but a random assignment is never better than balanced
         assert float(conditional) > 11 / 12
 
-    def test_all_uncovered_raises(self):
-        # two workers can never cover three batches
+    def test_all_uncovered_raises(self, monkeypatch):
+        # two workers can never cover three batches, so no uniform is drawn
+        def no_sampling(*args):
+            raise AssertionError("monte_carlo drew uniforms for B > N")
+
+        monkeypatch.setattr(sim, "_chunks", no_sampling)
         cfg = SimConfig(
             n_samples=1000,
             seed=3,
@@ -402,7 +406,7 @@ class TestRandomCc:
             policy=PolicySpec(PolicyKind.RANDOM_CC),
             system=SystemParams(2, 3, 3),
         )
-        with pytest.raises(NoCoverageError):
+        with pytest.raises(NoCoverageError, match="^none of the 1000 trials covered all 3 batches$"):
             monte_carlo(cfg)
 
     def test_zero_count_vector_rejected_upfront(self):
