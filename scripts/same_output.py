@@ -41,6 +41,7 @@ COMMANDS = [
     "analyze --policy explicit-structure -N 7 -B 2 --groups '0,1;2,3'",
     "analyze --policy explicit-vector --vector 3,2,1 -N 7",
     "analyze --policy explicit-vector --vector 3,2,1 -B 2",
+    "analyze --policy explicit-vector --vector 3,0,1",
     "analyze --policy explicit-structure --groups 0,1",
     "analyze --policy balanced -N 6",
     "analyze --policy cyclic -N 100000 -B 1",

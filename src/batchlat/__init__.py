@@ -3,7 +3,6 @@ batch-to-worker assignment in master/worker systems with exponential
 service times."""
 
 from .model import (
-    AssignmentVector,
     BatchlatError,
     CompletionEstimate,
     ComplexityGuardError,
@@ -52,7 +51,6 @@ from . import cli
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssignmentVector",
     "BatchlatError",
     "CompletionEstimate",
     "ComplexityGuardError",

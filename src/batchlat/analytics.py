@@ -24,12 +24,12 @@ from operator import add, floordiv, mul
 import numpy as np
 
 from .model import (
-    AssignmentVector,
     ComplexityGuardError,
     DomainError,
     RecoveryStructure,
     _require_counts,
     _require_groups,
+    _require_iterable,
     _require_nonneg_int,
     _require_positive_int,
     _require_rate,
@@ -354,7 +354,7 @@ def _survival_polynomial(counts: Sequence[int]) -> np.ndarray:
     return poly
 
 
-def expected_time_assignment_rational(vector: AssignmentVector | Sequence[int]) -> Fraction:
+def expected_time_assignment_rational(vector: Sequence[int]) -> Fraction:
     """Exact rate-1 E[max_i min-of-c_i exponentials] for replica counts c_i.
 
     Inclusion-exclusion over non-empty batch subsets U gives
@@ -369,7 +369,7 @@ def expected_time_assignment_rational(vector: AssignmentVector | Sequence[int]) 
 
 
 def expected_time_assignment(
-    vector: AssignmentVector | Sequence[int],
+    vector: Sequence[int],
     rate: float = 1.0,
     *,
     exact: bool = True,
@@ -537,7 +537,8 @@ def exact_expected_time_structure(
 
 def rearranged(vector: Iterable[int]) -> tuple[int, ...]:
     """The same multiset of non-negative counts sorted non-increasing."""
-    return tuple(sorted((_require_nonneg_int(v, "vector entry") for v in vector), reverse=True))
+    entries = (_require_nonneg_int(v, "vector entry") for v in _require_iterable(vector, "vector"))
+    return tuple(sorted(entries, reverse=True))
 
 
 def majorizes(v: Iterable[int], w: Iterable[int]) -> bool:

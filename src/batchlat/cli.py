@@ -404,8 +404,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         lines.append(("ratio_to_bound", _fmt(exact / bound)))
     if plan.counts is not None and n % b == 0:
         counts = plan.counts
-        balanced = balanced_assignment(n, b).counts
-        # B positive counts summing to N (AssignmentVector refuses a zero) are
+        balanced = balanced_assignment(n, b)
+        # B positive counts summing to N (PolicySpec refuses a zero) are
         # majorized by the balanced ones exactly when they are all equal.
         minimal = "yes" if analytics.majorizes(balanced, counts) else "no"
         lines.append(("is_balanced", minimal))

@@ -96,13 +96,18 @@ def _require_replication(n_workers: object, n_batches: object, layout: str) -> i
     return n_workers // n_batches
 
 
+def _require_iterable(values: object, name: str) -> Iterable:
+    """``values`` itself, possibly empty; a string or a scalar is refused."""
+    if isinstance(values, (str, bytes)) or not isinstance(values, Iterable):
+        raise DomainError(f"{name} must be a list, got {values!r}")
+    return values
+
+
 def _require_list(
     values: object, name: str, require_entry: Callable[[object, str], object] | None = None
 ) -> tuple:
     """``values`` as a non-empty tuple, each entry passed through ``require_entry``."""
-    if isinstance(values, (str, bytes)) or not isinstance(values, Iterable):
-        raise DomainError(f"{name} must be a list, got {values!r}")
-    out = tuple(values)
+    out = tuple(_require_iterable(values, name))
     if not out:
         raise DomainError(f"{name} must be non-empty")
     if require_entry is None:
@@ -134,24 +139,6 @@ class SystemParams:
 
 
 @dataclass(frozen=True)
-class AssignmentVector:
-    """Per-batch worker counts for non-overlapping batching.
-
-    Entry i is the number of workers holding batch i. Every entry is
-    positive: a batch that no worker holds is never recovered, so the job
-    could not complete.
-    """
-
-    counts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        counts = tuple(_require_positive_int(c, "count") for c in self.counts)
-        if len(counts) == 0:
-            raise DomainError("assignment vector must have at least one batch")
-        object.__setattr__(self, "counts", counts)
-
-
-@dataclass(frozen=True)
 class RecoveryStructure:
     """Worker groups defining job completion for overlapping batching.
 
@@ -165,15 +152,18 @@ class RecoveryStructure:
     groups: tuple[frozenset[int], ...]
 
     def __post_init__(self) -> None:
-        groups = tuple(map(frozenset, self.groups))
-        if len(groups) == 0:
-            raise DomainError("recovery structure must have at least one group")
-        for i, group in enumerate(groups):  # the first fault in group order is named
+        groups = []
+        # one pass over the groups, so the first fault in group order is named
+        for i, group in enumerate(_require_iterable(self.groups, "recovery structure")):
+            group = frozenset(_require_iterable(group, f"group {i}"))
             if not group:
                 raise DomainError(f"group {i} is empty")
             for w in group:
                 _require_nonneg_int(w, "worker id")
-        object.__setattr__(self, "groups", groups)
+            groups.append(group)
+        if not groups:
+            raise DomainError("recovery structure must have at least one group")
+        object.__setattr__(self, "groups", tuple(groups))
 
 
 @dataclass(frozen=True)
@@ -211,11 +201,11 @@ class CompletionEstimate:
         return self.ci95_low <= value <= self.ci95_high
 
 
-def _require_counts(vector: AssignmentVector | Sequence[int]) -> tuple[int, ...]:
-    """The counts of an assignment vector or of a plain sequence of counts."""
-    if isinstance(vector, AssignmentVector):
-        return vector.counts
-    return AssignmentVector(tuple(vector)).counts
+def _require_counts(vector: Sequence[int]) -> tuple[int, ...]:
+    """Per-batch replica counts as a tuple. Each is positive: a batch that no
+    worker holds is never recovered, so the job could not complete."""
+    counts = _require_list(vector, "assignment vector")
+    return tuple(_require_positive_int(c, "count") for c in counts)
 
 
 def _require_groups(
@@ -225,7 +215,7 @@ def _require_groups(
     """The groups of a recovery structure or of an iterable of worker sets,
     each worker id below n_workers when that is given."""
     if not isinstance(structure, RecoveryStructure):
-        structure = RecoveryStructure(tuple(structure))
+        structure = RecoveryStructure(structure)
     groups = structure.groups
     if n_workers is not None and max(frozenset().union(*groups)) >= n_workers:
         bad = next(g for g in groups if max(g) >= n_workers)

@@ -2,7 +2,7 @@
 
 Two families. Non-overlapping batching splits the data set into B disjoint
 batches and assigns each worker exactly one of them; such a policy is fully
-described by an AssignmentVector of per-batch replica counts. Overlapping
+described by its vector of per-batch replica counts. Overlapping
 batching gives each worker a window of blocks that may intersect other
 workers' windows; completion is then governed by a RecoveryStructure of
 worker groups whose batches partition the block set.
@@ -25,7 +25,6 @@ from enum import Enum
 
 from . import analytics
 from .model import (
-    AssignmentVector,
     ComplexityGuardError,
     DomainError,
     NonDivisibleError,
@@ -140,10 +139,10 @@ class PolicySpec:
         return SystemParams(n, b if self.kind in non_overlapping else n, b)
 
 
-def balanced_assignment(n_workers: int, n_batches: int) -> AssignmentVector:
+def balanced_assignment(n_workers: int, n_batches: int) -> tuple[int, ...]:
     """The unique balanced vector: every one of the B batches gets N/B workers."""
     replication = _require_replication(n_workers, n_batches, "balanced assignment")
-    return AssignmentVector((replication,) * n_batches)
+    return (replication,) * n_batches
 
 
 def cyclic_layout(
@@ -209,7 +208,7 @@ def replicated_nonoverlap_layout(
     if n_groups > MAX_REPLICATED_GROUPS:
         raise ComplexityGuardError(
             f"replicated layout would need {n_groups} recovery groups "
-            f"(> {MAX_REPLICATED_GROUPS}); use the balanced AssignmentVector instead"
+            f"(> {MAX_REPLICATED_GROUPS}); use balanced_assignment instead"
         )
     batches = tuple(
         frozenset(range(start, start + replication))
@@ -264,7 +263,7 @@ def resolve(spec: PolicySpec, params: SystemParams) -> Plan:
         )
     if kind is PolicyKind.BALANCED:
         return Plan(
-            counts=balanced_assignment(n, b).counts,  # raises unless B | N
+            counts=balanced_assignment(n, b),  # raises unless B | N
             exact=lambda rate: analytics.expected_time_balanced(n, b, rate),
         )
     if kind is PolicyKind.EXPLICIT_VECTOR:

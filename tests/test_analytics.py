@@ -38,7 +38,6 @@ from batchlat.analytics import (
     stirling2,
 )
 from batchlat.model import (
-    AssignmentVector,
     ComplexityGuardError,
     DomainError,
     NonPositiveError,
@@ -553,17 +552,13 @@ class TestAssignment:
                 expected_time_assignment_rational(v)
             )
 
-    def test_accepts_assignment_vector(self):
-        v = AssignmentVector((3, 2, 1))
-        assert expected_time_assignment_rational(v) == Fraction(73, 60)
-
     def test_rate_scaling_exact_in_float(self):
         base = expected_time_assignment((5, 4, 3))
         for rate in (0.25, 2.0, 7.3):
             assert expected_time_assignment((5, 4, 3), rate) == base / rate
 
     def test_uncovered_batch_rejected(self):
-        # a batch with no worker is refused by the vector type, before the size guard
+        # a batch with no worker is refused by the counts check, before the size guard
         for route in (expected_time_assignment_rational, expected_time_assignment):
             with pytest.raises(NonPositiveError, match="^count must be positive, got 0$"):
                 route((2, 0, 4))
@@ -865,6 +860,7 @@ class TestOrderingHelpers:
     def test_rearranged(self):
         assert rearranged((1, 3, 2)) == (3, 2, 1)
         assert rearranged([5]) == (5,)
+        assert rearranged(()) == () and majorizes((), ())  # an empty vector is a list
         # entries are counts: the one non-negative-integer rule applies
         with pytest.raises(DomainError):
             rearranged((2, -1))

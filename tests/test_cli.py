@@ -619,6 +619,8 @@ class TestExitCodes:
          "rate must be a number, got 'abc'"),
         (["simulate", "--policy", "balanced", "-N", "6", "-B", "3", "--rate", "1e-160"],
          "rate must lie in [1e-100, 1e100], got 1e-160"),
+        (["analyze", "--policy", "explicit-vector", "--vector", ""],
+         "assignment vector must be non-empty"),
     ])
     def test_rejected_flag_value_names_the_rule(self, argv, rule, capsys):
         with pytest.raises(SystemExit) as err:

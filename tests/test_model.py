@@ -6,14 +6,21 @@ import math
 
 import pytest
 
+from batchlat.analytics import (
+    exact_expected_time_structure,
+    expected_time_assignment,
+    incomplete_subset_counts,
+    majorizes,
+    rearranged,
+)
 from batchlat.model import (
-    AssignmentVector,
     CompletionEstimate,
     DomainError,
     NonDivisibleError,
     NonPositiveError,
     RecoveryStructure,
     SystemParams,
+    _require_counts,
     _require_groups,
 )
 from batchlat.policies import PolicyKind, PolicySpec, resolve
@@ -83,30 +90,41 @@ class TestValidateParams:
             resolve(PolicySpec(PolicyKind.GROUPED_OVERLAP), SystemParams(8, 4, 2))
 
 
-class TestAssignmentVector:
+def _spec_vector(vector):
+    return PolicySpec(PolicyKind.EXPLICIT_VECTOR, vector=vector).vector
+
+
+class TestReplicaCounts:
+    """Replica counts are checked once, by ``_require_counts``, which
+    ``PolicySpec`` (and so ``--vector``) and ``expected_time_assignment`` run."""
+
+    ROUTES = (_require_counts, _spec_vector)
+
     def test_counts_normalized_to_tuple(self):
-        v = AssignmentVector([2, 2, 2])
-        assert v.counts == (2, 2, 2)
-        assert sum(v.counts) == 6
-        assert len(v.counts) == 3
+        for route in self.ROUTES:
+            assert route([2, 2, 2]) == (2, 2, 2)
 
     def test_zero_count_rejected(self):
         # a batch that no worker holds is never recovered
-        with pytest.raises(NonPositiveError, match="^count must be positive, got 0$"):
-            AssignmentVector((2, 0, 4))
-        assert AssignmentVector((1, 1)).counts == (1, 1)
+        for route in self.ROUTES:
+            with pytest.raises(NonPositiveError, match="^count must be positive, got 0$"):
+                route((2, 0, 4))
+            assert route((1, 1)) == (1, 1)
 
     def test_negative_rejected(self):
-        with pytest.raises(DomainError):
-            AssignmentVector((2, -1, 5))
+        for route in self.ROUTES:
+            with pytest.raises(DomainError):
+                route((2, -1, 5))
 
     def test_empty_rejected(self):
-        with pytest.raises(DomainError):
-            AssignmentVector(())
+        for route in self.ROUTES:
+            with pytest.raises(DomainError):
+                route(())
 
     def test_non_integer_rejected(self):
-        with pytest.raises(DomainError):
-            AssignmentVector((2.0, 2, 2))
+        for route in self.ROUTES:
+            with pytest.raises(DomainError):
+                route((2.0, 2, 2))
 
 
 class TestRecoveryStructure:
@@ -181,3 +199,22 @@ class TestCompletionEstimate:
                 mean=1.0, std_error=-0.1, ci95_low=0.9, ci95_high=1.1,
                 n_samples=10, seed=0,
             )
+
+
+@pytest.mark.parametrize("call", [
+    lambda: expected_time_assignment(5),
+    lambda: PolicySpec("explicit-vector", vector=5),
+    lambda: RecoveryStructure(7),
+    lambda: PolicySpec("explicit-structure", groups=[3]),
+    lambda: exact_expected_time_structure(5, 6),
+    lambda: incomplete_subset_counts(5, 6),
+    lambda: rearranged(5),
+    lambda: majorizes(5, 3),
+], ids=[
+    "expected_time_assignment", "spec-vector", "RecoveryStructure", "spec-groups",
+    "exact_expected_time_structure", "incomplete_subset_counts", "rearranged", "majorizes",
+])
+def test_non_list_payload_is_a_domain_error(call):
+    # a scalar where a list belongs is refused by name
+    with pytest.raises(DomainError, match=r"must be a list, got \d$"):
+        call()

@@ -18,7 +18,6 @@ from batchlat.analytics import (
     harmonic,
 )
 from batchlat.model import (
-    AssignmentVector,
     ComplexityGuardError,
     DomainError,
     NonDivisibleError,
@@ -40,9 +39,9 @@ from batchlat.policies import (
 
 class TestBalancedAssignment:
     def test_examples(self):
-        assert balanced_assignment(6, 3).counts == (2, 2, 2)
-        assert balanced_assignment(5, 5).counts == (1, 1, 1, 1, 1)
-        assert balanced_assignment(50, 25).counts == (2,) * 25
+        assert balanced_assignment(6, 3) == (2, 2, 2)
+        assert balanced_assignment(5, 5) == (1, 1, 1, 1, 1)
+        assert balanced_assignment(50, 25) == (2,) * 25
 
     def test_nondivisible_rejected(self):
         with pytest.raises(NonDivisibleError):
@@ -155,7 +154,7 @@ class TestReplicatedLayout:
         def refuse():
             with pytest.raises(ComplexityGuardError, match=(
                 r"^replicated layout would need 1000000 recovery groups \(> 4096\); "
-                "use the balanced AssignmentVector instead$"
+                "use balanced_assignment instead$"
             )):
                 replicated_nonoverlap_layout(2000, 2)
 
