@@ -9,7 +9,7 @@ tracemalloc peak of one more call, or "refused" where a guard refuses the
 shape. FILTER words keep only the shapes whose label contains one of them,
 e.g. `cyclic` or `N=24`. The shapes are those that README.md and the guard
 comments in batchlat/analytics.py quote. It needs only the standard library
-and batchlat; all shapes together take about 70 s on a 2-vCPU Xeon.
+and batchlat; all shapes together take about 35 s on a 2-vCPU Xeon.
 """
 
 import itertools
@@ -38,10 +38,6 @@ def shapes():
                  (10_000, 1), (20_000, 2), (50_000, 5), (50_000, 10), (100_000, 10),
                  (100_000, 100), (100_000, 100_000)):
         yield f"cyclic N={n} B={b}", partial(analytics.expected_time_cyclic_rational, n, b)
-    # on the bound for each k, then three shapes past it
-    for n, k in ((131_072, 1), (73_618, 2), (22_284, 10), (5079, 100), (2637, 300), (1312, 1000),
-                 (1189, 1189), (3000, 300), (5000, 500), (20_000, 100)):
-        yield f"stirling2 n={n} k={k}", partial(analytics.stirling2, n, k)
     structures = [(f"subsets cyclic N={n} B={b}", cyclic_layout(n, b)[1], n)
                   for n, b in ((24, 2), (24, 4), (50, 5), (50, 10), (50, 25), (60, 4), (64, 8))]
     structures.append(("subsets replicated N=24 B=4", replicated_nonoverlap_layout(24, 4)[1], 24))

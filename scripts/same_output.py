@@ -55,6 +55,10 @@ COMMANDS = [
     "simulate --policy explicit-structure -N 6 -B 3 --groups '0,2,4;1,3,5' --samples 20000",
     "compare-fig4 --samples 20000",
     "coverage -B 1..4 -N 4,8 --mode both --samples 20000 --out coverage.csv",
+    # coverage's exact route over every B, N <= 12, then its bits and B*N guards
+    "coverage -B 1..12 -N 1..12",
+    "coverage -B 3 -N 3333333",
+    "coverage -B 11 -N 909091",
     # sweeps: two refused, then the default config, small and at full size
     "sweep --policy explicit-vector",
     "sweep -N 10 -B 4 --samples 1000",

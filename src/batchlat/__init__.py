@@ -16,7 +16,6 @@ from .model import (
 from .analytics import (
     ExactProbability,
     coverage_probability,
-    coverage_probability_exact_n,
     exact_expected_time_structure,
     expected_time_assignment,
     expected_time_balanced,
@@ -25,7 +24,6 @@ from .analytics import (
     incomplete_subset_counts,
     majorizes,
     rearranged,
-    stirling2,
 )
 from .policies import (
     PolicyKind,
@@ -67,7 +65,6 @@ __all__ = [
     "balanced_assignment",
     "coverage_empirical",
     "coverage_probability",
-    "coverage_probability_exact_n",
     "cyclic_layout",
     "derive_seed",
     "exact_expected_time_structure",
@@ -81,7 +78,6 @@ __all__ = [
     "rearranged",
     "replicated_nonoverlap_layout",
     "shared_pair_layout",
-    "stirling2",
     "validate_policy",
     "__version__",
 ]

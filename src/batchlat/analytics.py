@@ -29,8 +29,8 @@ from .model import (
     RecoveryStructure,
     _require_counts,
     _require_groups,
-    _require_iterable,
     _require_nonneg_int,
+    _require_ordered,
     _require_positive_int,
     _require_rate,
     _require_replication,
@@ -41,9 +41,7 @@ __all__ = [
     "MAX_BATCH_WORKER_PRODUCT",
     "MAX_STRUCTURE_WORKERS",
     "harmonic",
-    "stirling2",
     "coverage_probability",
-    "coverage_probability_exact_n",
     "expected_time_balanced",
     "expected_time_balanced_rational",
     "expected_time_assignment",
@@ -76,12 +74,6 @@ _MAX_POWER_BITS = 2**18
 # about quadratically in n: on a 2-vCPU Xeon H_n takes 0.26-0.35 s at
 # n = 10^5, 0.95 s at 2 * 10^5 and 20 s at 10^6.
 _MAX_HARMONIC_TERMS = 10**5
-
-# Refuse S(n, k) when n^2 * k * log2(k + 1) exceeds this: the recurrence runs
-# n * k steps on integers of up to about n * log2(k) bits. On a 2-vCPU Xeon
-# the slowest accepted shapes, k from 100 to 300 on the bound, take 0.7-0.9 s;
-# past it (3000, 300) took 0.83 s, (5000, 500) 2.7-4.6 s, (20000, 100) 6-12 s.
-_MAX_STIRLING_WORK = 2**34
 
 # Refuse the cyclic form past this many groups G = N/B. Its B residue-class
 # products have G factors each; on the same Xeon the slowest accepted shape,
@@ -222,36 +214,6 @@ def harmonic(n: int) -> Fraction:
     return _sum_fractions([1] * n, list(range(1, n + 1)))
 
 
-def stirling2(n: int, k: int) -> int:
-    """Number of partitions of an n-set into k non-empty blocks, S(n, k).
-
-    Computed by the recurrence S(n, k) = k*S(n-1, k) + S(n-1, k-1) with
-    S(0, 0) = 1. Arguments with k > n yield 0; negative arguments are
-    rejected. Raises ComplexityGuardError past n^2 * k * log2(k + 1) = 2^34.
-    """
-    _require_nonneg_int(n, "n")
-    _require_nonneg_int(k, "k")
-    if k > n:
-        return 0
-    if n == 0:
-        return 1
-    if k == 0:
-        return 0
-    work = n * n * k  # tested alone first: past 2^1024 it has no float
-    if work > _MAX_STIRLING_WORK or work * math.log2(k + 1) > _MAX_STIRLING_WORK:
-        raise ComplexityGuardError(
-            f"S({n}, {k}) exceeds the n^2*k*log2(k+1) <= 2^34 guard on the recurrence's work"
-        )
-    # One rolling row of the triangle; updating right-to-left keeps the
-    # row[j-1] reference on the previous n.
-    row = [1] + [0] * k
-    for _ in range(n):
-        for j in range(k, 0, -1):
-            row[j] = j * row[j] + row[j - 1]
-        row[0] = 0
-    return row[k]
-
-
 def _powers(n: int, k: int) -> list[int]:
     """[i**n for i in range(k + 1)], with one pow per odd prime i: an even i is
     (i/2)^n << n, and an odd composite i the product of the entries of its
@@ -275,48 +237,27 @@ def _surjections(n: int, k: int) -> int:
     return total
 
 
-def _coverable(n_batches: int, n_workers: int) -> bool:
-    """Whether N draws can cover all B batches, B <= N, after the checks both
-    coverage forms share; only then do the size guards apply."""
+def coverage_probability(n_batches: int, n_workers: int) -> ExactProbability:
+    """Probability that N uniform with-replacement batch draws hit all B batches.
+
+    Exactly B! * S(N, B) / B^N, S a Stirling number of the second kind: the
+    surjections from workers onto batches, by the alternating sum, over the
+    assignment outcomes. Exact zero when B > N (too few draws to cover);
+    ComplexityGuardError when B * N exceeds MAX_BATCH_WORKER_PRODUCT or B^N
+    has more than 2^18 bits, a bound that is conservative at B = 2, where
+    the reduction of the fraction takes one gcd step.
+    """
     _require_positive_int(n_batches, "n_batches")
     _require_positive_int(n_workers, "n_workers")
     if n_batches > n_workers:
-        return False
+        return ExactProbability(0, 1)
     _require_batch_worker_product(n_batches, n_workers, "the surjection sum")
     if n_workers * math.log2(n_batches) > _MAX_POWER_BITS:
         raise ComplexityGuardError(
             f"coverage over B={n_batches} batches and N={n_workers} workers exceeds the N*log2(B)"
             f" <= {_MAX_POWER_BITS} guard on the bits of B^N; estimate by Monte Carlo instead"
         )
-    return True
-
-
-def coverage_probability(n_batches: int, n_workers: int) -> ExactProbability:
-    """Probability that N uniform with-replacement batch draws hit all B batches.
-
-    Exactly B! * S(N, B) / B^N: the number of surjections from workers onto
-    batches, counted by the alternating sum, over the number of assignment
-    outcomes. Returns exact zero when B > N (too few draws to cover), and
-    raises ComplexityGuardError when B * N exceeds MAX_BATCH_WORKER_PRODUCT
-    or B^N has more than 2^18 bits, a bound that is conservative at B = 2,
-    where the reduction of the fraction takes one gcd step.
-    """
-    if not _coverable(n_batches, n_workers):
-        return ExactProbability(0, 1)
     return ExactProbability(_surjections(n_workers, n_batches), n_batches**n_workers)
-
-
-def coverage_probability_exact_n(n_batches: int, n_workers: int) -> ExactProbability:
-    """Probability that the N-th draw is the one completing coverage of B batches.
-
-    Exactly B! * S(N-1, B-1) / B^N, that is B times the surjections of N-1
-    draws onto B-1 batches over B^N. Summing over N = B..M telescopes to
-    coverage_probability(B, M). Guarded like coverage_probability.
-    """
-    if not _coverable(n_batches, n_workers):
-        return ExactProbability(0, 1)
-    num = n_batches * _surjections(n_workers - 1, n_batches - 1)
-    return ExactProbability(num, n_batches**n_workers)
 
 
 def expected_time_balanced_rational(n_workers: int, n_batches: int) -> Fraction:
@@ -537,7 +478,7 @@ def exact_expected_time_structure(
 
 def rearranged(vector: Iterable[int]) -> tuple[int, ...]:
     """The same multiset of non-negative counts sorted non-increasing."""
-    entries = (_require_nonneg_int(v, "vector entry") for v in _require_iterable(vector, "vector"))
+    entries = (_require_nonneg_int(v, "vector entry") for v in _require_ordered(vector, "vector"))
     return tuple(sorted(entries, reverse=True))
 
 

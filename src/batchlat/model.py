@@ -13,7 +13,7 @@ integers everywhere, including external formats.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence, Set
 from dataclasses import dataclass
 
 
@@ -103,6 +103,14 @@ def _require_iterable(values: object, name: str) -> Iterable:
     return values
 
 
+def _require_ordered(values: object, name: str) -> Iterable:
+    """``values`` as ``_require_iterable`` takes it, but a set or dict is
+    refused too: it would drop or reorder repeated entries."""
+    if isinstance(values, (Set, Mapping)):
+        raise DomainError(f"{name} must be a list, got {values!r}")
+    return _require_iterable(values, name)
+
+
 def _require_list(
     values: object, name: str, require_entry: Callable[[object, str], object] | None = None
 ) -> tuple:
@@ -155,11 +163,15 @@ class RecoveryStructure:
         groups = []
         # one pass over the groups, so the first fault in group order is named
         for i, group in enumerate(_require_iterable(self.groups, "recovery structure")):
-            group = frozenset(_require_iterable(group, f"group {i}"))
-            if not group:
-                raise DomainError(f"group {i} is empty")
+            # a set's ids are hashable already; any other group's are checked
+            # before frozenset() hashes them
+            if not isinstance(group, (set, frozenset)):
+                group = list(_require_iterable(group, f"group {i}"))
             for w in group:
                 _require_nonneg_int(w, "worker id")
+            group = frozenset(group)
+            if not group:
+                raise DomainError(f"group {i} is empty")
             groups.append(group)
         if not groups:
             raise DomainError("recovery structure must have at least one group")
@@ -204,7 +216,7 @@ class CompletionEstimate:
 def _require_counts(vector: Sequence[int]) -> tuple[int, ...]:
     """Per-batch replica counts as a tuple. Each is positive: a batch that no
     worker holds is never recovered, so the job could not complete."""
-    counts = _require_list(vector, "assignment vector")
+    counts = _require_list(_require_ordered(vector, "assignment vector"), "assignment vector")
     return tuple(_require_positive_int(c, "count") for c in counts)
 
 

@@ -18,7 +18,6 @@ import pytest
 
 from batchlat.analytics import (
     coverage_probability,
-    coverage_probability_exact_n,
     exact_expected_time_structure,
     expected_time_assignment,
     expected_time_assignment_rational,
@@ -29,7 +28,6 @@ from batchlat.analytics import (
     expected_time_structure_rational,
     majorizes,
     rearranged,
-    stirling2,
 )
 from batchlat.cli import SweepSpec, main, run_sweep
 from batchlat.model import SystemParams
@@ -73,6 +71,21 @@ def _product_groups(counts):
         offsets.append(offsets[-1] + c)
     choices = [range(offsets[i], offsets[i] + counts[i]) for i in range(len(counts))]
     return [frozenset(pick) for pick in itertools.product(*choices)]
+
+
+def _stirling2(n, k):
+    """S(n, k) by the recurrence S(n, k) = k*S(n-1, k) + S(n-1, k-1)."""
+    row = [1] + [0] * k
+    for _ in range(n):
+        for j in range(k, 0, -1):
+            row[j] = j * row[j] + row[j - 1]
+        row[0] = 0
+    return row[k]
+
+
+def _coverage_exact_n(b, n):
+    """P(the n-th draw completes coverage of b batches), b! S(n-1, b-1) / b^n."""
+    return Fraction(math.factorial(b) * _stirling2(n - 1, b - 1), b**n)
 
 
 def _vector_system(n, b):
@@ -168,14 +181,10 @@ def test_ac4_coverage_probability_all_routes(capsys):
             for b in range(1, n + 1):
                 direct = coverage_probability(b, n).fraction
                 # the Stirling recurrence shares no code with the surjection sum
-                recurrence = Fraction(math.factorial(b) * stirling2(n, b), b**n)
+                recurrence = Fraction(math.factorial(b) * _stirling2(n, b), b**n)
                 assert direct == recurrence, (b, n)
                 partial = sum(
-                    (
-                        coverage_probability_exact_n(b, m).fraction
-                        for m in range(1, n + 1)
-                    ),
-                    Fraction(0),
+                    (_coverage_exact_n(b, m) for m in range(1, n + 1)), Fraction(0)
                 )
                 assert partial == direct, (b, n)
         for index, (b, n) in enumerate([(2, 2), (3, 6), (5, 15)]):

@@ -22,7 +22,6 @@ from batchlat.analytics import (
     MAX_STRUCTURE_WORKERS,
     ExactProbability,
     coverage_probability,
-    coverage_probability_exact_n,
     exact_expected_time_structure,
     expected_time_assignment,
     expected_time_assignment_rational,
@@ -35,7 +34,6 @@ from batchlat.analytics import (
     incomplete_subset_counts,
     majorizes,
     rearranged,
-    stirling2,
 )
 from batchlat.model import (
     ComplexityGuardError,
@@ -63,6 +61,23 @@ def _count_partitions_brute(n: int, k: int) -> int:
     value, rem = divmod(surjective, math.factorial(k))
     assert rem == 0
     return value
+
+
+def _stirling2(n: int, k: int) -> int:
+    """S(n, k) by the recurrence S(n, k) = k*S(n-1, k) + S(n-1, k-1) with
+    S(0, 0) = 1, on one rolling row of the triangle; 0 when k > n."""
+    row = [1] + [0] * k
+    for _ in range(n):
+        for j in range(k, 0, -1):
+            row[j] = j * row[j] + row[j - 1]
+        row[0] = 0
+    return row[k]
+
+
+def _coverage_exact_n(b: int, n: int) -> Fraction:
+    """P(the n-th of n uniform draws over b batches completes coverage),
+    b! * S(n-1, b-1) / b^n for b, n >= 1."""
+    return Fraction(math.factorial(b) * _stirling2(n - 1, b - 1), b**n)
 
 
 def _expected_time_subsets(counts) -> Fraction:
@@ -303,39 +318,24 @@ class TestSumFractions:
 
 class TestStirling:
     def test_examples(self):
-        assert stirling2(4, 2) == 7
-        assert stirling2(6, 3) == 90
-        assert stirling2(0, 0) == 1
-        assert stirling2(5, 0) == 0
-        assert stirling2(3, 5) == 0
-        assert stirling2(7, 7) == 1
-        assert stirling2(7, 1) == 1
+        assert _stirling2(4, 2) == 7
+        assert _stirling2(6, 3) == 90
+        assert _stirling2(0, 0) == 1
+        assert _stirling2(5, 0) == 0
+        assert _stirling2(3, 5) == 0
+        assert _stirling2(7, 7) == 1
+        assert _stirling2(7, 1) == 1
 
     def test_against_brute_enumeration(self):
         for n in range(0, 7):
             for k in range(0, n + 2):
-                assert stirling2(n, k) == _count_partitions_brute(n, k), (n, k)
+                assert _stirling2(n, k) == _count_partitions_brute(n, k), (n, k)
 
     def test_two_routes_agree(self):
         for n in range(0, 13):
             for k in range(0, n + 1):
                 surjections = analytics._surjections(n, k)
-                assert math.factorial(k) * stirling2(n, k) == surjections, (n, k)
-
-    def test_rejects_negative(self):
-        with pytest.raises(DomainError):
-            stirling2(-1, 2)
-
-    def test_work_guard(self):
-        # n^2 * k * log2(k + 1) is exactly 2^34 at (131072, 1), and just past it
-        # one step on; at n = 10^200 it is past the float range
-        assert stirling2(131_072, 1) == 1
-        for n, k in ((131_073, 1), (5080, 100), (10**200, 3)):
-            with pytest.raises(ComplexityGuardError, match=(
-                rf"^S\({n}, {k}\) exceeds the n\^2\*k\*log2\(k\+1\) <= 2\^34 guard"
-                " on the recurrence's work$"
-            )):
-                stirling2(n, k)
+                assert math.factorial(k) * _stirling2(n, k) == surjections, (n, k)
 
 
 class TestSurjections:
@@ -418,15 +418,13 @@ class TestCoverage:
                     for f in itertools.product(range(b), repeat=n)
                     if len(set(f)) == b and len(set(f[:-1])) == b - 1
                 )
-                assert coverage_probability_exact_n(b, n).fraction == Fraction(
-                    hits, b**n
-                ), (b, n)
+                assert _coverage_exact_n(b, n) == Fraction(hits, b**n), (b, n)
 
     def test_telescoping(self):
         for b in range(1, 7):
             for n in range(b, 15):
                 partial = sum(
-                    (coverage_probability_exact_n(b, m).fraction for m in range(1, n + 1)),
+                    (_coverage_exact_n(b, m) for m in range(1, n + 1)),
                     Fraction(0),
                 )
                 assert partial == coverage_probability(b, n).fraction, (b, n)
@@ -442,40 +440,31 @@ class TestCoverage:
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):
             coverage_probability(0, 5)
-        with pytest.raises(DomainError):
-            coverage_probability_exact_n(3, 0)
 
     def test_size_guard(self, monkeypatch):
-        routes = (coverage_probability, coverage_probability_exact_n)
         # 11 * 909091 is one above the limit
         assert 11 * 909091 == MAX_BATCH_WORKER_PRODUCT + 1
-        for route in routes:
-            with pytest.raises(ComplexityGuardError):
-                route(11, 909091)
+        with pytest.raises(ComplexityGuardError):
+            coverage_probability(11, 909091)
         # B > N needs no sum, so it is never refused
         assert coverage_probability(2 * 10**7, 10**7).fraction == 0
         # the guard is inclusive
         monkeypatch.setattr(analytics, "MAX_BATCH_WORKER_PRODUCT", 3 * 6)
         assert coverage_probability(3, 6).fraction == Fraction(20, 27)
-        assert coverage_probability_exact_n(3, 6).fraction == Fraction(90, 729)
-        for route in routes:
-            with pytest.raises(ComplexityGuardError):
-                route(3, 7)
+        with pytest.raises(ComplexityGuardError):
+            coverage_probability(3, 7)
 
     def test_power_bits_guard(self):
         """B^N is refused past 2^18 bits, inside B * N <= 10^7 too."""
-        routes = (coverage_probability, coverage_probability_exact_n)
         assert analytics._MAX_POWER_BITS == 2**18
         n = 2**18
         assert coverage_probability(2, n).fraction == 1 - Fraction(2, 2**n)
-        assert coverage_probability_exact_n(2, n).fraction == Fraction(2, 2**n)
         assert coverage_probability(16, 2**16).float_value == 1.0
         assert coverage_probability(220, 2200).float_value > 0.99
         for b, n in ((2, 2**18 + 1), (16, 2**16 + 1), (10, 10**6), (3, 3333333)):
             assert b * n <= MAX_BATCH_WORKER_PRODUCT
-            for route in routes:
-                with pytest.raises(ComplexityGuardError, match=r"N\*log2\(B\) <= 262144"):
-                    route(b, n)
+            with pytest.raises(ComplexityGuardError, match=r"N\*log2\(B\) <= 262144"):
+                coverage_probability(b, n)
 
 
 class TestBalanced:

@@ -218,3 +218,31 @@ def test_non_list_payload_is_a_domain_error(call):
     # a scalar where a list belongs is refused by name
     with pytest.raises(DomainError, match=r"must be a list, got \d$"):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: RecoveryStructure([[[1]]]),
+    lambda: PolicySpec("explicit-structure", groups=[[[0]]]),
+    lambda: exact_expected_time_structure([[[0]]], 3),
+], ids=["RecoveryStructure", "spec-groups", "exact_expected_time_structure"])
+def test_unhashable_worker_id_is_a_domain_error(call):
+    # each member is checked before frozenset() hashes it
+    with pytest.raises(DomainError, match=r"^worker id must be a non-negative integer, got \[\d\]$"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: expected_time_assignment({2, 2, 2}),
+    lambda: PolicySpec("explicit-vector", vector={2, 2, 2}),
+    lambda: _require_counts(frozenset({1, 2})),
+    lambda: _require_counts({2: 1}.keys()),
+    lambda: majorizes({3, 3}, (4, 2)),
+    lambda: rearranged({3: 1, 1: 2}),
+], ids=[
+    "expected_time_assignment", "spec-vector", "frozenset", "dict-keys", "majorizes",
+    "rearranged",
+])
+def test_unordered_counts_are_a_domain_error(call):
+    # a set drops repeated counts and a dict gives its keys
+    with pytest.raises(DomainError, match=r"^(assignment vector|vector) must be a list, got "):
+        call()
