@@ -14,7 +14,6 @@ from .model import (
     SystemParams,
 )
 from .analytics import (
-    ExactProbability,
     coverage_probability,
     exact_expected_time_structure,
     expected_time_assignment,
@@ -32,7 +31,6 @@ from .policies import (
     cyclic_layout,
     replicated_nonoverlap_layout,
     shared_pair_layout,
-    validate_policy,
 )
 from .sim import (
     SimConfig,
@@ -53,7 +51,6 @@ __all__ = [
     "CompletionEstimate",
     "ComplexityGuardError",
     "DomainError",
-    "ExactProbability",
     "NoCoverageError",
     "NonDivisibleError",
     "NonPositiveError",
@@ -78,6 +75,5 @@ __all__ = [
     "rearranged",
     "replicated_nonoverlap_layout",
     "shared_pair_layout",
-    "validate_policy",
     "__version__",
 ]

@@ -37,7 +37,6 @@ from .model import (
 )
 
 __all__ = [
-    "ExactProbability",
     "MAX_BATCH_WORKER_PRODUCT",
     "MAX_STRUCTURE_WORKERS",
     "harmonic",
@@ -112,21 +111,11 @@ class ExactProbability(Fraction):
 
     ``float()`` of it is correctly rounded from the rational (within half an
     ulp), so regimes where the denominator overflows any fixed-width integer
-    stay exact until the final conversion.
+    stay exact until the final conversion. Only ``coverage_probability``
+    builds one, from sizes it has checked, so the type checks nothing itself.
     """
 
     __slots__ = ()
-
-    def __new__(cls, numerator: int, denominator: int) -> ExactProbability:
-        for v in (numerator, denominator):
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise DomainError(f"numerator and denominator must be integers, got {v!r}")
-        if denominator == 0:
-            raise DomainError("denominator must be non-zero")
-        self = super().__new__(cls, numerator, denominator)
-        if not 0 <= self <= 1:
-            raise DomainError(f"probability {self} lies outside [0, 1]")
-        return self
 
     @property
     def fraction(self) -> Fraction:
@@ -360,7 +349,7 @@ def expected_time_cyclic_rational(n_workers: int, n_batches: int) -> Fraction:
     f = math.factorial(n_groups - 1)
     u = math.gcd(f, power)
     classes = map(range, range(1, n_batches + 1), repeat(n_workers + 1), repeat(n_batches))
-    d = map(math.prod if n_groups <= 64 else _product, classes)
+    d = map(_product, classes)
     (p,), (q,) = _fold_fractions([1] * n_batches, list(map(floordiv, d, repeat(f // u))))
     return Fraction(u * power * p, q)
 

@@ -396,9 +396,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         lines.append(("n_batches", str(b)))
     lines.append(("rate", _fmt(rate)))
     lines.append(("expected_time", _fmt(exact)))
-    if show_bound:
+    if show_bound and b <= n:
         # Reference value of the balanced assignment on the same shape; it
-        # is attainable only when B divides N.
+        # is attainable only when B divides N. Past N, which only a
+        # structure's B reaches, no assignment covers every batch.
         bound = float(analytics.harmonic(b) * b / n) / rate
         lines.append(("balanced_bound", _fmt(bound)))
         lines.append(("ratio_to_bound", _fmt(exact / bound)))

@@ -97,16 +97,17 @@ def _require_replication(n_workers: object, n_batches: object, layout: str) -> i
 
 
 def _require_iterable(values: object, name: str) -> Iterable:
-    """``values`` itself, possibly empty; a string or a scalar is refused."""
-    if isinstance(values, (str, bytes)) or not isinstance(values, Iterable):
+    """``values`` itself, possibly empty; a string, a scalar or a mapping,
+    which would give its keys, is refused."""
+    if isinstance(values, (str, bytes, Mapping)) or not isinstance(values, Iterable):
         raise DomainError(f"{name} must be a list, got {values!r}")
     return values
 
 
 def _require_ordered(values: object, name: str) -> Iterable:
-    """``values`` as ``_require_iterable`` takes it, but a set or dict is
-    refused too: it would drop or reorder repeated entries."""
-    if isinstance(values, (Set, Mapping)):
+    """``values`` as ``_require_iterable`` takes it, but a set, such as a
+    dict's keys, is refused too: it would drop or reorder repeated entries."""
+    if isinstance(values, Set):
         raise DomainError(f"{name} must be a list, got {values!r}")
     return _require_iterable(values, name)
 
@@ -194,19 +195,6 @@ class CompletionEstimate:
     n_samples: int
     seed: int
     coverage_rate: float = 1.0
-
-    def __post_init__(self) -> None:
-        _require_positive_int(self.n_samples, "n_samples")
-        _require_nonneg_int(self.seed, "seed")
-        if not (self.ci95_low <= self.mean <= self.ci95_high):
-            raise DomainError(
-                f"confidence interval [{self.ci95_low}, {self.ci95_high}] "
-                f"must contain the mean {self.mean}"
-            )
-        if self.std_error < 0:
-            raise DomainError(f"std_error must be non-negative, got {self.std_error}")
-        if not 0.0 <= self.coverage_rate <= 1.0:
-            raise DomainError(f"coverage_rate must lie in [0, 1], got {self.coverage_rate}")
 
     def contains(self, value: float) -> bool:
         """Whether the 95% confidence interval contains ``value``."""

@@ -44,7 +44,6 @@ __all__ = [
     "cyclic_layout",
     "shared_pair_layout",
     "replicated_nonoverlap_layout",
-    "validate_policy",
     "resolve",
 ]
 
@@ -245,16 +244,18 @@ def resolve(spec: PolicySpec, params: SystemParams) -> Plan:
     """Check that a policy is usable with the given system parameters and
     return the Plan it means there.
 
-    Raises NonDivisibleError unless B | S, DomainError unless S = N for
-    cyclic and grouped-overlap, and DomainError (or a subclass) for other
-    shapes that do not line up, such as a vector of the wrong length.
+    Raises NonDivisibleError unless B | S, except for explicit-structure,
+    whose B only feeds reports; DomainError unless S = N for cyclic and
+    grouped-overlap; and DomainError (or a subclass) for other shapes that
+    do not line up, such as a vector of the wrong length.
     """
     if not isinstance(spec, PolicySpec):
         raise DomainError(f"expected a PolicySpec, got {spec!r}")
     if not isinstance(params, SystemParams):
         raise DomainError(f"expected SystemParams, got {params!r}")
     kind, n, b = spec.kind, params.n_workers, params.n_batches
-    if params.n_blocks % b != 0:  # every batch holds a whole number of blocks
+    # every batch holds a whole number of blocks
+    if kind is not PolicyKind.EXPLICIT_STRUCTURE and params.n_blocks % b != 0:
         raise NonDivisibleError(f"n_batches={b} must divide n_blocks={params.n_blocks}")
     if kind in (PolicyKind.CYCLIC, PolicyKind.GROUPED_OVERLAP) and params.n_blocks != n:
         raise DomainError(

@@ -242,7 +242,7 @@ def monte_carlo(cfg: SimConfig) -> CompletionEstimate:
     kept; they match a one-pass ``mean`` and ``std`` up to the last bits.
     """
     plan, n, rate = cfg.plan, cfg.n_samples, cfg.rate
-    draws = cfg.system.n_workers
+    draws, covers = cfg.system.n_workers, True
     if plan.counts is not None:
         ends = itertools.accumulate(plan.counts)
         runs = [range(end - c, end) for c, end in zip(plan.counts, ends)]
@@ -259,9 +259,9 @@ def monte_carlo(cfg: SimConfig) -> CompletionEstimate:
     else:
         draws *= 2  # N batch draws, then N service draws
         kernel = functools.partial(_run_random_cc, n_batches=cfg.system.n_batches)
+        # N draws hit at most N batches, so with B > N no trial covers
+        covers = cfg.system.n_batches <= cfg.system.n_workers
     n_covered, mean, m2 = 0, 0.0, 0.0
-    # random-cc's N draws hit at most N batches, so with B > N no trial covers
-    covers = cfg.system.n_batches <= cfg.system.n_workers
     per_trial = map(kernel, _chunks(cfg.seed, n, draws) if covers else ())
     for block in _blocks(per_trial, min(_BLOCK, n)):
         finite = np.isfinite(block)  # random-cc's uncovered trials stay inf

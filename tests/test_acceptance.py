@@ -180,6 +180,7 @@ def test_ac4_coverage_probability_all_routes(capsys):
         for n in range(1, 13):
             for b in range(1, n + 1):
                 direct = coverage_probability(b, n).fraction
+                assert 0 <= direct <= 1, (b, n)
                 # the Stirling recurrence shares no code with the surjection sum
                 recurrence = Fraction(math.factorial(b) * _stirling2(n, b), b**n)
                 assert direct == recurrence, (b, n)
@@ -194,6 +195,7 @@ def test_ac4_coverage_probability_all_routes(capsys):
             assert abs(empirical - p) <= 3 * sigma, (b, n)
         for n in (10, 15, 20, 25):
             probs = [coverage_probability(b, n).fraction for b in range(1, 21)]
+            assert all(0 <= x <= 1 for x in probs), n  # B > N included: exact 0
             assert all(x >= y for x, y in zip(probs, probs[1:])), n
         for b in range(1, 21):
             probs = [coverage_probability(b, n).fraction for n in (10, 15, 20, 25)]

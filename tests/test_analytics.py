@@ -383,16 +383,6 @@ class TestExactProbability:
             assert p.float_value == float(Fraction(num, den))
             assert float(p) == p.float_value
 
-    def test_bounds(self):
-        with pytest.raises(DomainError):
-            ExactProbability(5, 4)
-        with pytest.raises(DomainError):
-            ExactProbability(-1, 4)
-        with pytest.raises(DomainError):
-            ExactProbability(1, 0)
-        with pytest.raises(DomainError, match="^numerator and denominator must be integers"):
-            ExactProbability(1.5, 2)
-
 
 class TestCoverage:
     def test_known_values(self):

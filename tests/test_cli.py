@@ -94,6 +94,9 @@ class TestSweepSpec:
     def test_scalar_where_list_expected(self):
         with pytest.raises(DomainError):
             SweepSpec.from_dict({"rates": "1,2"})
+        # an object would give its keys
+        with pytest.raises(DomainError, match=r"^policies must be a list, got \{"):
+            SweepSpec.from_dict({"policies": {"balanced": 1}})
 
     def test_bad_format(self):
         with pytest.raises(DomainError):
@@ -440,6 +443,17 @@ class TestAnalyzeCommand:
         ]) == EXIT_OK
         stdout = capsys.readouterr().out
         assert float(_field(stdout, "expected_time")) == pytest.approx(73 / 60, rel=1e-8)
+
+    def test_structure_with_more_batches_than_workers(self, capsys):
+        # a structure's B only feeds reports, and past N there is no bound
+        assert main([
+            "analyze", "--policy", "explicit-structure", "-N", "4", "-B", "200000",
+            "--groups", "0,1;2,3",
+        ]) == EXIT_OK
+        stdout = capsys.readouterr().out
+        assert _field(stdout, "n_batches") == "200000"
+        assert _field(stdout, "expected_time") == cli._fmt(11 / 12)
+        assert "balanced_bound" not in stdout and "ratio_to_bound" not in stdout
 
     def test_random_cc_is_rejected(self, capsys):
         assert main(["analyze", "--policy", "random-cc", "-N", "6", "-B", "3"]) == EXIT_USAGE

@@ -172,34 +172,6 @@ class TestCompletionEstimate:
         assert est.contains(0.98) and est.contains(1.02)
         assert not est.contains(1.03)
 
-    def test_mean_outside_interval_rejected(self):
-        with pytest.raises(DomainError):
-            CompletionEstimate(
-                mean=2.0, std_error=0.01, ci95_low=0.9, ci95_high=1.1,
-                n_samples=1000, seed=7,
-            )
-
-    def test_coverage_rate_bounds(self):
-        with pytest.raises(DomainError):
-            CompletionEstimate(
-                mean=1.0, std_error=0.0, ci95_low=1.0, ci95_high=1.0,
-                n_samples=10, seed=0, coverage_rate=1.5,
-            )
-
-    def test_nonpositive_samples_rejected(self):
-        with pytest.raises(DomainError):
-            CompletionEstimate(
-                mean=1.0, std_error=0.0, ci95_low=1.0, ci95_high=1.0,
-                n_samples=0, seed=0,
-            )
-
-    def test_negative_std_error_rejected(self):
-        with pytest.raises(DomainError):
-            CompletionEstimate(
-                mean=1.0, std_error=-0.1, ci95_low=0.9, ci95_high=1.1,
-                n_samples=10, seed=0,
-            )
-
 
 @pytest.mark.parametrize("call", [
     lambda: expected_time_assignment(5),
@@ -246,3 +218,21 @@ def test_unordered_counts_are_a_domain_error(call):
     # a set drops repeated counts and a dict gives its keys
     with pytest.raises(DomainError, match=r"^(assignment vector|vector) must be a list, got "):
         call()
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: RecoveryStructure([{0: "a", 1: "b"}]), "group 0"),
+    (lambda: RecoveryStructure({frozenset({0}): 1}), "recovery structure"),
+    (lambda: PolicySpec("explicit-structure", groups=[{0: 1}]), "group 0"),
+], ids=["group", "structure", "spec-groups"])
+def test_mapping_of_worker_ids_is_a_domain_error(call, name):
+    # a dict would give its keys and drop its values
+    with pytest.raises(DomainError, match=f"^{name} must be a list, got {{"):
+        call()
+
+
+def test_sets_of_worker_ids_are_accepted():
+    # unlike replica counts, a group's order and repeats carry no meaning
+    groups = (frozenset({0, 1}), frozenset({2}))
+    assert RecoveryStructure(set(groups)).groups in (groups, groups[::-1])
+    assert RecoveryStructure([{0, 1}, {2}]).groups == groups

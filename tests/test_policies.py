@@ -313,13 +313,18 @@ class TestSystem:
          "n_batches=3 must divide n_blocks=7"),
         (PolicySpec(PolicyKind.GROUPED_OVERLAP), (12, 4), DomainError,
          "the grouped-overlap policy is a fixed six-worker, three-batch instance"),
-        (_STRUCTURE, (7, 2), NonDivisibleError, "n_batches=2 must divide n_blocks=7"),
-    ], ids=["vector-total", "vector-length", "grouped-overlap-7-3", "grouped-overlap-12-4",
-            "structure-b-not-dividing-n"])
+    ], ids=["vector-total", "vector-length", "grouped-overlap-7-3", "grouped-overlap-12-4"])
     def test_contradicting_size_refused_by_resolve(self, spec, given, error, message):
         system = spec.system(*given)
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             resolve(spec, system)
+
+    @pytest.mark.parametrize("given", [(7, 2), (4, 5)], ids=["b-not-dividing-n", "b-above-n"])
+    def test_structure_takes_any_b(self, given):
+        # the groups alone fix a structure's completion; its B only feeds reports
+        spec = PolicySpec(PolicyKind.EXPLICIT_STRUCTURE, groups=({0, 1}, {2, 3}))
+        plan = resolve(spec, spec.system(*given))
+        assert plan.exact(1.0) == float(expected_time_cyclic_rational(4, 2)) == 11 / 12
 
 
 class TestValidatePolicy:

@@ -333,6 +333,13 @@ class TestMonteCarloAccuracy:
         exact = exact_expected_time_structure(structure, 8)
         assert abs(est.mean - exact) < 4 * est.std_error
 
+    def test_explicit_structure_with_more_batches_than_workers(self):
+        # B only feeds a structure's reports, so B > N draws and covers
+        spec = PolicySpec(PolicyKind.EXPLICIT_STRUCTURE, groups=({0, 1}, {2, 3}))
+        est = _estimate(spec, spec.system(4, 5))
+        assert est.coverage_rate == 1.0
+        assert abs(est.mean - 11 / 12) < 4 * est.std_error
+
     def test_rate_two(self):
         est = _estimate(
             PolicySpec(PolicyKind.BALANCED), SystemParams(6, 6, 3, 2.0), rate=2.0
@@ -534,6 +541,10 @@ class TestStreamedMoments:
         assert got.mean == pytest.approx(mean, rel=1e-13, abs=0)
         assert got.std_error == pytest.approx(std_error, rel=1e-13, abs=0)
         assert got.coverage_rate == coverage_rate
+        # the invariants that monte_carlo's results hold without a check of their own
+        assert got.ci95_low <= got.mean <= got.ci95_high
+        assert got.std_error >= 0
+        assert 0 <= got.coverage_rate <= 1
         return got
 
     @pytest.mark.parametrize(
