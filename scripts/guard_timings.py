@@ -8,8 +8,9 @@ For each shape it prints the median wall time of 5 calls and the
 tracemalloc peak of one more call, or "refused" where a guard refuses the
 shape. FILTER words keep only the shapes whose label contains one of them,
 e.g. `cyclic` or `N=24`. The shapes are those that README.md and the guard
-comments in batchlat/analytics.py quote. It needs only the standard library
-and batchlat; all shapes together take about 35 s on a 2-vCPU Xeon.
+comments in batchlat/analytics.py, policies.py and sim.py quote. It needs
+only numpy and batchlat; all shapes together take about a minute on a
+2-vCPU Xeon.
 """
 
 import itertools
@@ -20,7 +21,7 @@ import time
 import tracemalloc
 from functools import partial
 
-from batchlat import ComplexityGuardError, analytics
+from batchlat import ComplexityGuardError, PolicySpec, SimConfig, SystemParams, analytics, sim
 from batchlat.policies import cyclic_layout, replicated_nonoverlap_layout
 
 CALLS = 5
@@ -45,6 +46,12 @@ def shapes():
     structures.append(("subsets all 3-worker groups N=24", every_triple, 24))
     for label, structure, n in structures:
         yield label, partial(analytics.incomplete_subset_counts, structure, n)
+    # the layouts' 2^20 bound on block ids in their windows, and the samplers' N <= 2^20
+    yield "cyclic_layout N=1024 B=1", partial(cyclic_layout, 1024, 1)
+    yield "replicated_layout N=1024 B=1", partial(replicated_nonoverlap_layout, 1024, 1)
+    n = 2**20
+    cfg = SimConfig(1, 0, 1.0, PolicySpec("cyclic"), SystemParams(n, n, 2))
+    yield "monte_carlo cyclic N=2^20 B=2", partial(sim.monte_carlo, cfg)
 
 
 def measure(call):

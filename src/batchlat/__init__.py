@@ -8,8 +8,6 @@ from .model import (
     ComplexityGuardError,
     DomainError,
     NoCoverageError,
-    NonDivisibleError,
-    NonPositiveError,
     RecoveryStructure,
     SystemParams,
 )
@@ -52,8 +50,6 @@ __all__ = [
     "ComplexityGuardError",
     "DomainError",
     "NoCoverageError",
-    "NonDivisibleError",
-    "NonPositiveError",
     "PolicyKind",
     "PolicySpec",
     "RecoveryStructure",

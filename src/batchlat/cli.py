@@ -172,7 +172,7 @@ class SweepSpec:
         if not isinstance(data, dict):
             raise DomainError(f"sweep config must be an object, got {type(data).__name__}")
         known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
+        unknown = sorted(str(key) for key in data if key not in known)
         if unknown:
             raise DomainError(f"unknown sweep config keys: {', '.join(unknown)}")
         return cls(**{**data, **overrides})
@@ -348,18 +348,15 @@ def cmd_coverage(args: argparse.Namespace) -> int:
     want_exact = args.mode in ("exact", "both")
     want_empirical = args.mode in ("empirical", "both")
     rows = []
-    index = 0
-    for n in sorted(set(args.n_workers)):
-        for b in sorted(set(args.n_batches)):
-            row = {"B": b, "N": n, "exact": None, "empirical": None}
-            if want_exact:
-                row["exact"] = analytics.coverage_probability(b, n).float_value
-            if want_empirical:
-                row["empirical"] = coverage_empirical(
-                    b, n, args.samples, derive_seed(args.seed, index)
-                )
-            rows.append(row)
-            index += 1
+    grid = itertools.product(sorted(set(args.n_workers)), sorted(set(args.n_batches)))
+    for index, (n, b) in enumerate(grid):
+        row = {"B": b, "N": n, "exact": None, "empirical": None}
+        if want_exact:
+            row["exact"] = analytics.coverage_probability(b, n).float_value
+        if want_empirical:
+            seed = derive_seed(args.seed, index)
+            row["empirical"] = coverage_empirical(b, n, args.samples, seed)
+        rows.append(row)
     values = [c for c, wanted in (("exact", want_exact), ("empirical", want_empirical)) if wanted]
     print(f"{'B':>4} {'N':>4}" + "".join(f" {c:>14}" for c in values))
     for row in rows:

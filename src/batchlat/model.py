@@ -25,14 +25,6 @@ class DomainError(BatchlatError, ValueError):
     """An argument lies outside an operation's domain."""
 
 
-class NonPositiveError(DomainError):
-    """A parameter that must be strictly positive is zero or negative."""
-
-
-class NonDivisibleError(DomainError):
-    """A required divisibility between system parameters does not hold."""
-
-
 class ComplexityGuardError(BatchlatError):
     """Exact computation refused because the instance exceeds its size guard.
 
@@ -51,7 +43,7 @@ def _require_positive_int(value: object, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise DomainError(f"{name} must be an integer, got {value!r}")
     if value <= 0:
-        raise NonPositiveError(f"{name} must be positive, got {value}")
+        raise DomainError(f"{name} must be positive, got {value}")
     return value
 
 
@@ -64,7 +56,7 @@ def _require_rate(value: object, name: str) -> float:
         raise DomainError(f"{name} must be a number, got {value!r}")
     # compared before float(), which overflows on an int past the float range
     if not 0 < value < math.inf:
-        raise NonPositiveError(f"{name} must be positive and finite, got {value}")
+        raise DomainError(f"{name} must be positive and finite, got {value}")
     if not 1e-100 <= value <= 1e100:
         raise DomainError(f"{name} must lie in [1e-100, 1e100], got {value}")
     return float(value)
@@ -90,9 +82,7 @@ def _require_replication(n_workers: object, n_batches: object, layout: str) -> i
     _require_positive_int(n_workers, "n_workers")
     _require_positive_int(n_batches, "n_batches")
     if n_workers % n_batches != 0:
-        raise NonDivisibleError(
-            f"{layout} needs n_batches={n_batches} dividing n_workers={n_workers}"
-        )
+        raise DomainError(f"{layout} needs n_batches={n_batches} dividing n_workers={n_workers}")
     return n_workers // n_batches
 
 

@@ -58,6 +58,8 @@ from numpy.random import Generator, Philox, SeedSequence
 
 from .model import (
     CompletionEstimate,
+    ComplexityGuardError,
+    DomainError,
     NoCoverageError,
     SystemParams,
     _require_nonneg_int,
@@ -83,6 +85,9 @@ _CHUNK_BYTES = 1 << 20
 # Trials per aggregation block. Fixed, so that block boundaries, and with
 # them the rounding of the merged moments, never depend on the chunking.
 _BLOCK = 1 << 13
+# Workers per trial, so that memory is bounded in N too: at N = 2^20 a cyclic B = 2
+# trial takes 2-4.5 s and 185 MiB traced; N = 2^64 could not be allocated at all.
+_MAX_WORKERS = 1 << 20
 
 
 def derive_seed(master_seed: int, index: int) -> int:
@@ -241,8 +246,12 @@ def monte_carlo(cfg: SimConfig) -> CompletionEstimate:
     in trial order (see the module docstring), so no per-trial array is
     kept; they match a one-pass ``mean`` and ``std`` up to the last bits.
     """
+    if not isinstance(cfg, SimConfig):
+        raise DomainError(f"expected a SimConfig, got {cfg!r}")
     plan, n, rate = cfg.plan, cfg.n_samples, cfg.rate
     draws, covers = cfg.system.n_workers, True
+    if draws > _MAX_WORKERS:  # before any group or uniform exists
+        raise ComplexityGuardError(f"sampling N={draws} workers exceeds the N <= 2^20 guard")
     if plan.counts is not None:
         ends = itertools.accumulate(plan.counts)
         runs = [range(end - c, end) for c, end in zip(plan.counts, ends)]
@@ -307,6 +316,8 @@ def coverage_empirical(n_batches: int, n_workers: int, n_samples: int, seed: int
     _require_positive_int(n_workers, "n_workers")
     _require_sample_count(n_samples, "n_samples")
     _require_nonneg_int(seed, "seed")
+    if n_workers > _MAX_WORKERS:
+        raise ComplexityGuardError(f"sampling N={n_workers} workers exceeds the N <= 2^20 guard")
     if n_batches > n_workers:
         return 0.0  # N draws hit at most N batches
     hits = 0

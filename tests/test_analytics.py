@@ -38,7 +38,6 @@ from batchlat.analytics import (
 from batchlat.model import (
     ComplexityGuardError,
     DomainError,
-    NonPositiveError,
 )
 from batchlat.policies import (
     cyclic_layout,
@@ -539,9 +538,9 @@ class TestAssignment:
     def test_uncovered_batch_rejected(self):
         # a batch with no worker is refused by the counts check, before the size guard
         for route in (expected_time_assignment_rational, expected_time_assignment):
-            with pytest.raises(NonPositiveError, match="^count must be positive, got 0$"):
+            with pytest.raises(DomainError, match="^count must be positive, got 0$"):
                 route((2, 0, 4))
-            with pytest.raises(NonPositiveError):
+            with pytest.raises(DomainError, match="^count must be positive, got 0$"):
                 route((0, MAX_BATCH_WORKER_PRODUCT))
 
     def test_float_is_correctly_rounded(self):

@@ -76,6 +76,11 @@ class TestSweepSpec:
         with pytest.raises(DomainError):
             SweepSpec.from_dict({"rate_list": [1.0]})
 
+    @pytest.mark.parametrize("data, keys", [({1: 2}, "1"), ({1: 2, "rate_list": 3}, "1, rate_list")])
+    def test_non_string_keys_reported(self, data, keys):
+        with pytest.raises(DomainError, match=f"^unknown sweep config keys: {keys}$"):
+            SweepSpec.from_dict(data)
+
     def test_payload_policies_rejected(self):
         with pytest.raises(DomainError):
             SweepSpec(policies=("explicit-vector",))
@@ -467,11 +472,12 @@ class TestAnalyzeCommand:
 
     def test_builds_no_groups(self, monkeypatch):
         # The cyclic closed form needs no recovery groups, and building them
-        # is costly at large N, so analyze must not call cyclic_layout.
+        # is costly at large N, so analyze must not build them. The cyclic
+        # plan's groups and cyclic_layout both look _cyclic_groups up at call time.
         def refuse(*args):
             raise AssertionError("analyze built the cyclic groups")
 
-        monkeypatch.setattr(policies, "cyclic_layout", refuse)
+        monkeypatch.setattr(policies, "_cyclic_groups", refuse)
         assert main(["analyze", "--policy", "cyclic", "-N", "60", "-B", "30"]) == EXIT_OK
 
 

@@ -1,4 +1,5 @@
-"""Domain-type invariants: construction-time validation and error taxonomy."""
+"""Domain-type invariants: construction-time validation, and the DomainError
+message that names each refused rule."""
 
 import dataclasses
 import itertools
@@ -16,8 +17,6 @@ from batchlat.analytics import (
 from batchlat.model import (
     CompletionEstimate,
     DomainError,
-    NonDivisibleError,
-    NonPositiveError,
     RecoveryStructure,
     SystemParams,
     _require_counts,
@@ -38,7 +37,8 @@ class TestSystemParams:
         dict(n_workers=6, n_blocks=6, n_batches=0),
     ])
     def test_nonpositive_counts_rejected(self, kwargs):
-        with pytest.raises(NonPositiveError):
+        name, value = next((k, v) for k, v in kwargs.items() if v <= 0)
+        with pytest.raises(DomainError, match=f"^{name} must be positive, got {value}$"):
             SystemParams(rate=1.0, **kwargs)
 
     @pytest.mark.parametrize("rate", [0.0, -1.0, math.inf, math.nan])
@@ -65,7 +65,7 @@ class TestValidateParams:
         resolve(PolicySpec(PolicyKind.CYCLIC), SystemParams(6, 6, 3))
 
     def test_overlapping_nondivisible(self):
-        with pytest.raises(NonDivisibleError):
+        with pytest.raises(DomainError, match=r"^n_batches=4 must divide n_blocks=6$"):
             resolve(PolicySpec(PolicyKind.CYCLIC), SystemParams(6, 6, 4))
 
     def test_any_kind_ok(self):
@@ -73,7 +73,7 @@ class TestValidateParams:
         resolve(spec, SystemParams(50, 50, 25))
 
     def test_batch_size_must_divide(self):
-        with pytest.raises(NonDivisibleError):
+        with pytest.raises(DomainError, match=r"^n_batches=2 must divide n_blocks=9$"):
             resolve(PolicySpec(PolicyKind.BALANCED), SystemParams(10, 9, 2))
 
     def test_overlapping_requires_equal_blocks_and_workers(self):
@@ -84,7 +84,7 @@ class TestValidateParams:
         resolve(PolicySpec(PolicyKind.BALANCED), SystemParams(8, 4, 2))
 
     def test_divisibility_checked_before_block_count(self):
-        with pytest.raises(NonDivisibleError, match=r"^n_batches=3 must divide n_blocks=4$"):
+        with pytest.raises(DomainError, match=r"^n_batches=3 must divide n_blocks=4$"):
             resolve(PolicySpec(PolicyKind.CYCLIC), SystemParams(6, 4, 3))
         with pytest.raises(DomainError, match=r"requires n_blocks == n_workers, got S=4, N=8$"):
             resolve(PolicySpec(PolicyKind.GROUPED_OVERLAP), SystemParams(8, 4, 2))
@@ -107,7 +107,7 @@ class TestReplicaCounts:
     def test_zero_count_rejected(self):
         # a batch that no worker holds is never recovered
         for route in self.ROUTES:
-            with pytest.raises(NonPositiveError, match="^count must be positive, got 0$"):
+            with pytest.raises(DomainError, match="^count must be positive, got 0$"):
                 route((2, 0, 4))
             assert route((1, 1)) == (1, 1)
 

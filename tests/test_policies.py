@@ -20,8 +20,6 @@ from batchlat.analytics import (
 from batchlat.model import (
     ComplexityGuardError,
     DomainError,
-    NonDivisibleError,
-    NonPositiveError,
     SystemParams,
 )
 from batchlat.policies import (
@@ -44,7 +42,7 @@ class TestBalancedAssignment:
         assert balanced_assignment(50, 25) == (2,) * 25
 
     def test_nondivisible_rejected(self):
-        with pytest.raises(NonDivisibleError):
+        with pytest.raises(DomainError, match="^balanced assignment needs n_batches=3 dividing n_workers=7$"):
             balanced_assignment(7, 3)
 
 
@@ -90,7 +88,7 @@ class TestCyclicLayout:
             assert others == 2 * (size - 1), w
 
     def test_nondivisible_rejected(self):
-        with pytest.raises(NonDivisibleError):
+        with pytest.raises(DomainError, match="^cyclic layout needs n_batches=3 dividing n_workers=10$"):
             cyclic_layout(10, 3)
 
 
@@ -153,15 +151,20 @@ class TestReplicatedLayout:
         # building the 2000 batches of 1000 workers first took 116 MiB traced
         def refuse():
             with pytest.raises(ComplexityGuardError, match=(
-                r"^replicated layout would need 1000000 recovery groups \(> 4096\); "
+                r"^replicated layout would need 1000\^2 recovery groups \(> 4096\); "
                 "use balanced_assignment instead$"
             )):
                 replicated_nonoverlap_layout(2000, 2)
 
         assert traced_peak(refuse) < 2**20
 
+    def test_group_count_guard_builds_no_power(self):
+        # 2^15000 has 4516 digits, past the int-to-str limit of an error message
+        with pytest.raises(ComplexityGuardError, match=r"^replicated layout would need 2\^15000 "):
+            replicated_nonoverlap_layout(30000, 15000)
+
     def test_nondivisible_rejected(self):
-        with pytest.raises(NonDivisibleError):
+        with pytest.raises(DomainError, match="^replicated layout needs n_batches=4 dividing n_workers=10$"):
             replicated_nonoverlap_layout(10, 4)
 
 
@@ -177,12 +180,31 @@ class TestReplicatedLayout:
 def test_b_divides_n_rule(route, layout):
     """Every layout that gives each batch N/B workers refuses B not dividing N
     in one wording, after both counts are found positive, n_workers first."""
-    with pytest.raises(NonDivisibleError, match=f"^{layout} needs n_batches=4 dividing n_workers=6$"):
+    with pytest.raises(DomainError, match=f"^{layout} needs n_batches=4 dividing n_workers=6$"):
         route(6, 4)
-    with pytest.raises(NonPositiveError, match="^n_workers must be positive, got -6$"):
+    with pytest.raises(DomainError, match="^n_workers must be positive, got -6$"):
         route(-6, 0)
-    with pytest.raises(NonPositiveError, match="^n_batches must be positive, got -4$"):
+    with pytest.raises(DomainError, match="^n_batches must be positive, got -4$"):
         route(6, -4)
+
+
+@pytest.mark.parametrize("layout, name", [
+    (cyclic_layout, "cyclic layout"),
+    (replicated_nonoverlap_layout, "replicated layout"),
+], ids=["cyclic", "replicated"])
+def test_window_id_guard(layout, name, traced_peak):
+    """Both layouts build N windows of N/B block ids, refused past 2^20 ids
+    before any window is built: 56 MiB traced at the bound itself."""
+    assert len(layout(1024, 1)[0]) == 1024
+
+    def refuse():
+        with pytest.raises(ComplexityGuardError, match=(
+            rf"^{name} would build 1025 windows of 1025 "
+            r"block ids \(> 2\^20 in all\)$"
+        )):
+            layout(1025, 1)
+
+    assert traced_peak(refuse) < 2**20
 
 
 def _assert_uniform(batches, n_blocks: int) -> None:
@@ -306,17 +328,16 @@ class TestSystem:
         with pytest.raises(DomainError, match=f"^{needed} required for {spec.kind.value}$"):
             spec.system(*given)
 
-    @pytest.mark.parametrize("spec, given, error, message", [
-        (_VECTOR, (7, None), DomainError, "vector assigns 6 workers but the system has 7"),
-        (_VECTOR, (None, 2), DomainError, "vector has 3 entries but the system has 2 batches"),
-        (PolicySpec(PolicyKind.GROUPED_OVERLAP), (7, None), NonDivisibleError,
-         "n_batches=3 must divide n_blocks=7"),
-        (PolicySpec(PolicyKind.GROUPED_OVERLAP), (12, 4), DomainError,
+    @pytest.mark.parametrize("spec, given, message", [
+        (_VECTOR, (7, None), "vector assigns 6 workers but the system has 7"),
+        (_VECTOR, (None, 2), "vector has 3 entries but the system has 2 batches"),
+        (PolicySpec(PolicyKind.GROUPED_OVERLAP), (7, None), "n_batches=3 must divide n_blocks=7"),
+        (PolicySpec(PolicyKind.GROUPED_OVERLAP), (12, 4),
          "the grouped-overlap policy is a fixed six-worker, three-batch instance"),
     ], ids=["vector-total", "vector-length", "grouped-overlap-7-3", "grouped-overlap-12-4"])
-    def test_contradicting_size_refused_by_resolve(self, spec, given, error, message):
+    def test_contradicting_size_refused_by_resolve(self, spec, given, message):
         system = spec.system(*given)
-        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             resolve(spec, system)
 
     @pytest.mark.parametrize("given", [(7, 2), (4, 5)], ids=["b-not-dividing-n", "b-above-n"])
@@ -333,10 +354,10 @@ class TestValidatePolicy:
 
     def test_balanced_nondivisible(self):
         # batches divide the blocks but not the workers
-        with pytest.raises(NonDivisibleError):
+        with pytest.raises(DomainError, match="^balanced assignment needs n_batches=3 dividing n_workers=10$"):
             validate_policy(PolicySpec(PolicyKind.BALANCED), SystemParams(10, 9, 3))
         # batches do not divide the blocks
-        with pytest.raises(NonDivisibleError):
+        with pytest.raises(DomainError, match="^n_batches=4 must divide n_blocks=10$"):
             validate_policy(PolicySpec(PolicyKind.BALANCED), SystemParams(10, 10, 4))
 
     def test_vector_shape_checked(self):
@@ -351,7 +372,7 @@ class TestValidatePolicy:
         validate_policy(PolicySpec(PolicyKind.CYCLIC), SystemParams(6, 6, 3))
         with pytest.raises(DomainError):
             validate_policy(PolicySpec(PolicyKind.CYCLIC), SystemParams(6, 12, 3))
-        with pytest.raises(NonDivisibleError):
+        with pytest.raises(DomainError, match="^n_batches=4 must divide n_blocks=10$"):
             validate_policy(PolicySpec(PolicyKind.CYCLIC), SystemParams(10, 10, 4))
 
     def test_grouped_overlap_is_fixed_instance(self):

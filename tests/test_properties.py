@@ -1,20 +1,25 @@
 """Differential properties across the thresholds where a route or a kernel
 path switches: each exact route against a second route or a brute force,
-and each sampling kernel against a naive numpy reduction, bit for bit.
+and each sampling kernel against a naive numpy reduction, bit for bit; and
+a table of hostile values that every public call either accepts or refuses
+with a BatchlatError.
 
 Hypothesis runs derandomized and without an example database, so every run
 draws the same examples and writes nothing into the checkout.
 """
 
 import itertools
+import math
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from batchlat import analytics, sim
+import batchlat
+from batchlat import BatchlatError, PolicySpec, SimConfig, SystemParams, analytics, policies, sim
 from batchlat.analytics import (
     MAX_STRUCTURE_WORKERS,
     expected_time_assignment_rational,
@@ -22,6 +27,7 @@ from batchlat.analytics import (
     expected_time_structure_rational,
     incomplete_subset_counts,
 )
+from batchlat.cli import SweepSpec
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None)
 
@@ -149,3 +155,85 @@ def test_run_random_cc_equals_naive_reduction(seed, m, n, b):
     want = np.max(mins, axis=0)
     got = sim._run_random_cc(u, n_batches=b)
     assert got.tobytes() == want.tobytes()
+
+
+# Values that a caller could pass by mistake in place of a size, a rate, a
+# seed, a list or an object: wrong types, wrong signs, non-finite floats,
+# sizes past every guard, and numpy scalars (refused for now; a later change
+# may accept numpy integers, after converting them to Python ints).
+HOSTILE = [
+    0, -1, 1.5, True, None, "3", b"3", [1], {}, {1: 2}, set(), math.nan, math.inf, -math.inf,
+    2**64, 10**400, np.int64(4), np.int64(-1), np.float32(2.0), object(),
+]
+
+_GROUPS = [{0, 1}, {2, 3}]
+_SPEC = PolicySpec("balanced")
+_SYSTEM = SystemParams(6, 6, 3)
+
+# Each public call with valid positional arguments, small enough that the
+# whole table runs in well under a second.
+CALLS = {
+    "SystemParams": (SystemParams, (6, 6, 3, 1.0)),
+    "RecoveryStructure": (batchlat.RecoveryStructure, (_GROUPS,)),
+    "PolicyKind": (policies.PolicyKind, ("cyclic",)),
+    "PolicySpec[explicit-vector]": (PolicySpec, ("explicit-vector", (2, 2, 2))),
+    "PolicySpec[explicit-structure]": (PolicySpec, ("explicit-structure", None, _GROUPS)),
+    "PolicySpec.system": (_SPEC.system, (6, 3)),
+    "balanced_assignment": (policies.balanced_assignment, (6, 3)),
+    "cyclic_layout": (policies.cyclic_layout, (6, 3)),
+    "shared_pair_layout": (policies.shared_pair_layout, ()),
+    "replicated_nonoverlap_layout": (policies.replicated_nonoverlap_layout, (6, 3)),
+    "resolve": (policies.resolve, (_SPEC, _SYSTEM)),
+    "harmonic": (analytics.harmonic, (4,)),
+    "coverage_probability": (analytics.coverage_probability, (3, 6)),
+    "expected_time_balanced": (analytics.expected_time_balanced, (6, 3, 1.0)),
+    "expected_time_balanced_rational": (analytics.expected_time_balanced_rational, (6, 3)),
+    "expected_time_assignment": (analytics.expected_time_assignment, ((3, 2, 1), 1.0)),
+    "expected_time_assignment_rational": (analytics.expected_time_assignment_rational, ((3, 2, 1),)),
+    "expected_time_cyclic": (analytics.expected_time_cyclic, (6, 3, 1.0)),
+    "expected_time_cyclic_rational": (analytics.expected_time_cyclic_rational, (6, 3)),
+    "exact_expected_time_structure": (analytics.exact_expected_time_structure, (_GROUPS, 4, 1.0)),
+    "expected_time_structure_rational": (analytics.expected_time_structure_rational, (_GROUPS, 4)),
+    "incomplete_subset_counts": (analytics.incomplete_subset_counts, (_GROUPS, 4)),
+    "rearranged": (analytics.rearranged, ((1, 3, 2),)),
+    "majorizes": (analytics.majorizes, ((2, 2), (3, 1))),
+    "SimConfig": (SimConfig, (64, 1, 1.0, _SPEC, _SYSTEM)),
+    "monte_carlo": (sim.monte_carlo, (SimConfig(64, 1, 1.0, _SPEC, _SYSTEM),)),
+    "coverage_empirical": (sim.coverage_empirical, (3, 6, 64, 1)),
+    "derive_seed": (sim.derive_seed, (1, 2)),
+    "SweepSpec": (SweepSpec, ((1.0,), (3,), 6, ("balanced",), 64, 1, "sweep.csv", "csv")),
+    "SweepSpec.from_dict": (SweepSpec.from_dict, ({"n_workers": 6, "b_values": [3]},)),
+}
+
+# Output types, which only the package builds: monte_carlo's estimate and
+# resolve's plan.
+_OUTPUT_TYPES = {"CompletionEstimate", "Plan"}
+
+
+def test_hostile_table_covers_every_public_call():
+    public = {
+        name
+        for module in (batchlat, analytics, policies, sim)
+        for name in module.__all__
+        if callable(obj := getattr(module, name))
+        and not (isinstance(obj, type) and issubclass(obj, BaseException))
+    }
+    covered = {name.split("[")[0].split(".")[0] for name in CALLS}
+    assert public - _OUTPUT_TYPES <= covered
+
+
+@pytest.mark.parametrize("name", CALLS)
+def test_hostile_values_are_accepted_or_refused(name):
+    """Each argument in turn, the others held valid, takes every hostile
+    value: the call returns or raises a BatchlatError, never anything else."""
+    call, args = CALLS[name]
+    call(*args)  # the valid arguments are accepted
+    escaped = []
+    for i, value in itertools.product(range(len(args)), HOSTILE):
+        try:
+            call(*args[:i], value, *args[i + 1 :])
+        except BatchlatError:
+            pass
+        except Exception as exc:  # anything else escaped the checks
+            escaped.append(f"argument {i} = {value!r}: {type(exc).__name__}: {exc}")
+    assert escaped == []

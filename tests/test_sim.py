@@ -25,9 +25,9 @@ from batchlat.analytics import (
     exact_expected_time_structure,
 )
 from batchlat.model import (
+    ComplexityGuardError,
     DomainError,
     NoCoverageError,
-    NonPositiveError,
     SystemParams,
 )
 from batchlat.policies import (
@@ -418,11 +418,16 @@ class TestRandomCc:
 
     def test_zero_count_vector_rejected_upfront(self):
         # the vector type refuses it, before any config or run exists
-        with pytest.raises(NonPositiveError, match="^count must be positive, got 0$"):
+        with pytest.raises(DomainError, match="^count must be positive, got 0$"):
             PolicySpec(PolicyKind.EXPLICIT_VECTOR, vector=(2, 0, 4))
 
 
 class TestEstimateEdges:
+    @pytest.mark.parametrize("cfg", [None, 3, SystemParams(6, 6, 3)], ids=repr)
+    def test_non_config_refused(self, cfg):
+        with pytest.raises(DomainError, match="^expected a SimConfig, got "):
+            monte_carlo(cfg)
+
     def test_single_sample(self):
         est = _estimate(
             PolicySpec(PolicyKind.BALANCED), SystemParams(6, 6, 3), n_samples=1
@@ -655,3 +660,19 @@ class TestBoundedMemory:
 
     def test_coverage_empirical(self, traced_peak):
         assert traced_peak(lambda: coverage_empirical(10, 20, self.N_TRIALS, 5)) < self.BOUND
+
+    def test_worker_guard(self, traced_peak):
+        # refused before any group or uniform exists; at N = 2^20 one cyclic
+        # B = 2 trial takes 2-4.5 s and 185 MiB traced
+        n = 2**20 + 1  # 17 * 61681
+        cfg = SimConfig(1, 5, 1.0, PolicySpec(PolicyKind.CYCLIC), SystemParams(n, n, 17))
+
+        def refuse():
+            for call in (lambda: monte_carlo(cfg), lambda: coverage_empirical(3, n, 1, 5)):
+                with pytest.raises(ComplexityGuardError, match=(
+                    r"^sampling N=1048577 workers exceeds the N <= 2\^20 guard$"
+                )):
+                    call()
+
+        assert traced_peak(refuse) < 2**20
+        assert 0 <= coverage_empirical(3, 2**20, 1, 5) <= 1
