@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time the exact routes at the shapes that their complexity guards quote.
+"""Time the exact routes at the shapes that their complexity guards quote,
+and the Monte Carlo kernels at the shapes that pick their paths.
 
 Usage:
     PYTHONPATH=src python3 scripts/guard_timings.py [FILTER ...]
@@ -52,6 +53,12 @@ def shapes():
     n = 2**20
     cfg = SimConfig(1, 0, 1.0, PolicySpec("cyclic"), SystemParams(n, n, 2))
     yield "monte_carlo cyclic N=2^20 B=2", partial(sim.monte_carlo, cfg)
+    # coverage_empirical's kernels: hit words with chunks of more trials than
+    # workers (N = 20, 200) and fewer (N = 20 000, 2^20), and the B > 64 table
+    for b, n, trials in ((10, 20, 10**6), (64, 200, 10**5), (65, 200, 10**5),
+                         (10, 20_000, 10**3), (3, 2**20, 2)):
+        yield f"coverage_empirical B={b} N={n} n={trials}", partial(
+            sim.coverage_empirical, b, n, trials, 0)
 
 
 def measure(call):
@@ -73,16 +80,16 @@ def measure(call):
 def main(filters):
     print(f"# python {platform.python_version()}, {platform.machine()}, "
           f"median of {CALLS} calls, tracemalloc peak of one")
-    print(f"{'shape':<36} {'median ms':>11} {'peak MiB':>9}")
+    print(f"{'shape':<40} {'median ms':>11} {'peak MiB':>9}")
     for label, call in shapes():
         if filters and not any(f in label for f in filters):
             continue
         try:
             median, peak = measure(call)
         except ComplexityGuardError:
-            print(f"{label:<36} {'refused':>11}", flush=True)
+            print(f"{label:<40} {'refused':>11}", flush=True)
             continue
-        print(f"{label:<36} {median * 1e3:11.3f} {peak / 2**20:9.2f}", flush=True)
+        print(f"{label:<40} {median * 1e3:11.3f} {peak / 2**20:9.2f}", flush=True)
 
 
 if __name__ == "__main__":

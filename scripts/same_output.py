@@ -55,6 +55,8 @@ COMMANDS = [
     "simulate --policy explicit-structure -N 6 -B 3 --groups '0,2,4;1,3,5' --samples 20000",
     "compare-fig4 --samples 20000",
     "coverage -B 1..4 -N 4,8 --mode both --samples 20000 --out coverage.csv",
+    # the empirical kernel's hit words of 8 to 64 bits, and its table past B = 64
+    "coverage -B 10,33,64,65 -N 20,200 --mode empirical --samples 20000",
     # coverage's exact route over every B, N <= 12, then its bits and B*N guards
     "coverage -B 1..12 -N 1..12",
     "coverage -B 3 -N 3333333",

@@ -34,6 +34,7 @@ from .model import (
     _require_positive_int,
     _require_rate,
     _require_replication,
+    _shown,
 )
 
 __all__ = [
@@ -127,24 +128,17 @@ class ExactProbability(Fraction):
 
     def __repr__(self) -> str:
         return (
-            f"ExactProbability(numerator={_int_repr(self.numerator)}, "
-            f"denominator={_int_repr(self.denominator)}, float_value={self.float_value!r})"
+            f"ExactProbability(numerator={_shown(self.numerator)}, "
+            f"denominator={_shown(self.denominator)}, float_value={self.float_value!r})"
         )
-
-
-def _int_repr(v: int) -> str:
-    """repr(v), or hex(v) when v is past the interpreter's int-to-str digit limit."""
-    try:
-        return repr(v)
-    except ValueError:
-        return hex(v)
 
 
 def _require_batch_worker_product(n_batches: int, n_workers: int, route: str) -> None:
     if n_batches * n_workers > MAX_BATCH_WORKER_PRODUCT:
         raise ComplexityGuardError(
-            f"{route} over B={n_batches} batches and N={n_workers} workers exceeds the "
-            f"B*N <= {MAX_BATCH_WORKER_PRODUCT} guard; estimate by Monte Carlo instead"
+            f"{route} over B={_shown(n_batches)} batches and N={_shown(n_workers)} workers"
+            f" exceeds the B*N <= {MAX_BATCH_WORKER_PRODUCT} guard; estimate by Monte Carlo"
+            " instead"
         )
 
 
@@ -194,10 +188,10 @@ def harmonic(n: int) -> Fraction:
     independent unit-rate exponential variables. Raises
     ComplexityGuardError past n = 10^5.
     """
-    _require_positive_int(n, "n")
+    n = _require_positive_int(n, "n")
     if n > _MAX_HARMONIC_TERMS:
         raise ComplexityGuardError(
-            f"harmonic number H_{n} exceeds the n <= {_MAX_HARMONIC_TERMS} guard; "
+            f"harmonic number H_{_shown(n)} exceeds the n <= {_MAX_HARMONIC_TERMS} guard; "
             "estimate by Monte Carlo instead"
         )
     return _sum_fractions([1] * n, list(range(1, n + 1)))
@@ -236,8 +230,8 @@ def coverage_probability(n_batches: int, n_workers: int) -> ExactProbability:
     has more than 2^18 bits, a bound that is conservative at B = 2, where
     the reduction of the fraction takes one gcd step.
     """
-    _require_positive_int(n_batches, "n_batches")
-    _require_positive_int(n_workers, "n_workers")
+    n_batches = _require_positive_int(n_batches, "n_batches")
+    n_workers = _require_positive_int(n_workers, "n_workers")
     if n_batches > n_workers:
         return ExactProbability(0, 1)
     _require_batch_worker_product(n_batches, n_workers, "the surjection sum")
@@ -251,7 +245,7 @@ def coverage_probability(n_batches: int, n_workers: int) -> ExactProbability:
 
 def expected_time_balanced_rational(n_workers: int, n_batches: int) -> Fraction:
     """Exact rate-1 expected completion time of the balanced assignment, (B/N)*H_B."""
-    _require_replication(n_workers, n_batches, "balanced assignment")
+    n_workers, n_batches, _ = _require_replication(n_workers, n_batches, "balanced assignment")
     return Fraction(n_batches, n_workers) * harmonic(n_batches)
 
 
@@ -334,11 +328,11 @@ def expected_time_cyclic_rational(n_workers: int, n_batches: int) -> Fraction:
     the value is (G-1)! B^(G-1) sum_{i=1..B} 1/D_i, a sum of B terms, not N.
     Raises ComplexityGuardError past N = 10^5 or G = 10^4.
     """
-    n_groups = _require_replication(n_workers, n_batches, "cyclic layout")
+    n_workers, n_batches, n_groups = _require_replication(n_workers, n_batches, "cyclic layout")
     if n_workers > _MAX_HARMONIC_TERMS or n_groups > _MAX_CYCLIC_GROUPS:
         raise ComplexityGuardError(
-            f"cyclic layout over N={n_workers} workers in G={n_groups} groups exceeds the "
-            f"N <= {_MAX_HARMONIC_TERMS} and G <= {_MAX_CYCLIC_GROUPS} guard; "
+            f"cyclic layout over N={_shown(n_workers)} workers in G={_shown(n_groups)} groups "
+            f"exceeds the N <= {_MAX_HARMONIC_TERMS} and G <= {_MAX_CYCLIC_GROUPS} guard; "
             "estimate by Monte Carlo instead"
         )
     # (G-1)! = u * m, where u = gcd((G-1)!, B^(G-1)) holds every prime of B in
@@ -374,7 +368,7 @@ def incomplete_subset_counts(
     Xeon, 20-40 ms and a traced peak of 6.7 MiB. Refused past N = 24,
     unless there are fewer than 16 distinct groups and N <= 64.
     """
-    _require_positive_int(n_workers, "n_workers")
+    n_workers = _require_positive_int(n_workers, "n_workers")
     if n_workers <= _MAX_UNION_WORKERS:
         masks = {sum(1 << w for w in g) for g in _require_groups(structure, n_workers)}
         if len(masks) < min(n_workers, _UNION_GROUP_LIMIT):
@@ -382,9 +376,9 @@ def incomplete_subset_counts(
         if n_workers <= MAX_STRUCTURE_WORKERS:
             return _subset_counts_by_closure(masks, n_workers)
     raise ComplexityGuardError(
-        f"subset enumeration over {n_workers} workers exceeds the N <= {MAX_STRUCTURE_WORKERS}"
-        f" guard (N <= {_MAX_UNION_WORKERS} with fewer than {_UNION_GROUP_LIMIT} distinct"
-        " groups); estimate by Monte Carlo instead"
+        f"subset enumeration over {_shown(n_workers)} workers exceeds the"
+        f" N <= {MAX_STRUCTURE_WORKERS} guard (N <= {_MAX_UNION_WORKERS} with fewer than"
+        f" {_UNION_GROUP_LIMIT} distinct groups); estimate by Monte Carlo instead"
     )
 
 

@@ -52,6 +52,7 @@ from .model import (
     _require_positive_int,
     _require_rate,
     _require_sample_count,
+    _shown,
 )
 from .policies import (
     Plan,
@@ -143,7 +144,7 @@ class SweepSpec:
         object.__setattr__(self, "rates", rates)
         b_values = _require_list(self.b_values, "b_values", _require_positive_int)
         object.__setattr__(self, "b_values", b_values)
-        _require_positive_int(self.n_workers, "n_workers")
+        object.__setattr__(self, "n_workers", _require_positive_int(self.n_workers, "n_workers"))
         kinds = []
         for name in _require_list(self.policies, "policies"):
             kind = PolicyKind(name)
@@ -153,12 +154,14 @@ class SweepSpec:
                 )
             kinds.append(kind)
         object.__setattr__(self, "policies", tuple(k.value for k in kinds))
-        _require_sample_count(self.n_samples, "n_samples")
-        _require_nonneg_int(self.seed, "seed")
+        object.__setattr__(self, "n_samples", _require_sample_count(self.n_samples, "n_samples"))
+        object.__setattr__(self, "seed", _require_nonneg_int(self.seed, "seed"))
         if not isinstance(self.output_path, str) or not self.output_path:
-            raise DomainError(f"output_path must be a non-empty string, got {self.output_path!r}")
+            raise DomainError(
+                f"output_path must be a non-empty string, got {_shown(self.output_path)}"
+            )
         if self.format not in ("csv", "json"):
-            raise DomainError(f"format must be 'csv' or 'json', got {self.format!r}")
+            raise DomainError(f"format must be 'csv' or 'json', got {_shown(self.format)}")
         # Every (policy, B) pair must satisfy its divisibility requirements.
         for kind in kinds:
             policy = PolicySpec(kind)
@@ -172,7 +175,9 @@ class SweepSpec:
         if not isinstance(data, dict):
             raise DomainError(f"sweep config must be an object, got {type(data).__name__}")
         known = {f.name for f in fields(cls)}
-        unknown = sorted(str(key) for key in data if key not in known)
+        # a string key as written; any other through _shown(), since str() raises
+        # on an int past the digit limit
+        unknown = sorted(k if isinstance(k, str) else _shown(k) for k in data if k not in known)
         if unknown:
             raise DomainError(f"unknown sweep config keys: {', '.join(unknown)}")
         return cls(**{**data, **overrides})

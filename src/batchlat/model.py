@@ -13,6 +13,8 @@ integers everywhere, including external formats.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from collections.abc import Callable, Iterable, Mapping, Sequence, Set
 from dataclasses import dataclass
 
@@ -39,58 +41,95 @@ class NoCoverageError(BatchlatError):
 _MAX_SAMPLES = 2**53
 
 
+def _shown(value: object) -> str:
+    """repr(value) for a message. An int past the interpreter's int-to-str
+    digit limit, whose repr raises ValueError, is shown in hex, and any other
+    value whose repr raises it, such as a list holding that int, by its type."""
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, int):
+            return hex(value)
+        return f"a {type(value).__name__} too long to show"
+
+
+def _integer(value: object) -> int | None:
+    """``value`` as a Python int when it is an integer, numpy's included, or
+    None; a bool is refused, though Python's ``bool`` is an ``int``, and
+    numpy's refuses ``operator.index`` itself."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
+
+
 def _require_positive_int(value: object, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
-    if value <= 0:
-        raise DomainError(f"{name} must be positive, got {value}")
-    return value
+    """``value`` as a Python int, which must be positive."""
+    n = _integer(value)
+    if n is None:
+        raise DomainError(f"{name} must be an integer, got {_shown(value)}")
+    if n <= 0:
+        raise DomainError(f"{name} must be positive, got {_shown(n)}")
+    return n
 
 
 def _require_rate(value: object, name: str) -> float:
-    """A service rate in [1e-100, 1e100]. Sample times scale as 1/rate and
-    the Monte Carlo variance sums their squares, which overflow below a rate
-    of about 2.7e-153 and underflow to zero above about 1e154; the bounds
-    leave some 50 orders of margin on each side."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise DomainError(f"{name} must be a number, got {value!r}")
-    # compared before float(), which overflows on an int past the float range
+    """A service rate in [1e-100, 1e100], as a float. Sample times scale as
+    1/rate and the Monte Carlo variance sums their squares, which overflow
+    below a rate of about 2.7e-153 and underflow to zero above about 1e154;
+    the bounds leave some 50 orders of margin on each side."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DomainError(f"{name} must be a number, got {_shown(value)}")
+    # an int or a fraction is compared before float(), which overflows past the
+    # float range; any other real as a float, not in a narrower width of its own
+    if not isinstance(value, numbers.Rational):
+        value = float(value)
     if not 0 < value < math.inf:
-        raise DomainError(f"{name} must be positive and finite, got {value}")
+        raise DomainError(f"{name} must be positive and finite, got {_shown(value)}")
     if not 1e-100 <= value <= 1e100:
-        raise DomainError(f"{name} must lie in [1e-100, 1e100], got {value}")
+        raise DomainError(f"{name} must lie in [1e-100, 1e100], got {_shown(value)}")
     return float(value)
 
 
 def _require_nonneg_int(value: object, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise DomainError(f"{name} must be a non-negative integer, got {value!r}")
-    return value
+    """``value`` as a Python int, which must not be negative."""
+    n = _integer(value)
+    if n is None or n < 0:
+        raise DomainError(f"{name} must be a non-negative integer, got {_shown(value)}")
+    return n
 
 
 def _require_sample_count(value: object, name: str) -> int:
-    """A trial count from 1 to 2^53: every count up to 2^53 is a float64
-    exactly, so fractions and means over the trials divide by the true count."""
-    _require_positive_int(value, name)
-    if value > _MAX_SAMPLES:
-        raise DomainError(f"{name} must be at most 2^53, got {value}")
-    return value
+    """A trial count from 1 to 2^53, as a Python int: every count up to 2^53
+    is a float64 exactly, so fractions and means over the trials divide by
+    the true count."""
+    n = _require_positive_int(value, name)
+    if n > _MAX_SAMPLES:
+        raise DomainError(f"{name} must be at most 2^53, got {_shown(n)}")
+    return n
 
 
-def _require_replication(n_workers: object, n_batches: object, layout: str) -> int:
-    """N/B for a layout that gives each of the B batches N/B workers, so B | N."""
-    _require_positive_int(n_workers, "n_workers")
-    _require_positive_int(n_batches, "n_batches")
-    if n_workers % n_batches != 0:
-        raise DomainError(f"{layout} needs n_batches={n_batches} dividing n_workers={n_workers}")
-    return n_workers // n_batches
+def _require_replication(
+    n_workers: object, n_batches: object, layout: str
+) -> tuple[int, int, int]:
+    """(N, B, N/B) as Python ints for a layout that gives each of the B
+    batches N/B workers, so B | N."""
+    n = _require_positive_int(n_workers, "n_workers")
+    b = _require_positive_int(n_batches, "n_batches")
+    if n % b != 0:
+        raise DomainError(
+            f"{layout} needs n_batches={_shown(b)} dividing n_workers={_shown(n)}"
+        )
+    return n, b, n // b
 
 
 def _require_iterable(values: object, name: str) -> Iterable:
     """``values`` itself, possibly empty; a string, a scalar or a mapping,
     which would give its keys, is refused."""
     if isinstance(values, (str, bytes, Mapping)) or not isinstance(values, Iterable):
-        raise DomainError(f"{name} must be a list, got {values!r}")
+        raise DomainError(f"{name} must be a list, got {_shown(values)}")
     return values
 
 
@@ -98,7 +137,7 @@ def _require_ordered(values: object, name: str) -> Iterable:
     """``values`` as ``_require_iterable`` takes it, but a set, such as a
     dict's keys, is refused too: it would drop or reorder repeated entries."""
     if isinstance(values, Set):
-        raise DomainError(f"{name} must be a list, got {values!r}")
+        raise DomainError(f"{name} must be a list, got {_shown(values)}")
     return _require_iterable(values, name)
 
 
@@ -118,7 +157,8 @@ def _require_list(
 class SystemParams:
     """System shape: N workers, S data blocks, B batches, per-worker rate.
 
-    Positivity is enforced at construction. Divisibility depends on the
+    Positivity is enforced at construction, which stores the sizes as
+    Python ints and the rate as a float. Divisibility depends on the
     policy, so ``policies.resolve`` checks it: B | S always, and S = N for
     the overlapping kinds. No code in the package reads ``rate``, since
     ``SimConfig.rate`` drives sampling; it stays because the benchmark in
@@ -131,10 +171,9 @@ class SystemParams:
     rate: float = 1.0
 
     def __post_init__(self) -> None:
-        _require_positive_int(self.n_workers, "n_workers")
-        _require_positive_int(self.n_blocks, "n_blocks")
-        _require_positive_int(self.n_batches, "n_batches")
-        _require_rate(self.rate, "rate")
+        for name in ("n_workers", "n_blocks", "n_batches"):
+            object.__setattr__(self, name, _require_positive_int(getattr(self, name), name))
+        object.__setattr__(self, "rate", _require_rate(self.rate, "rate"))
 
 
 @dataclass(frozen=True)
@@ -154,13 +193,10 @@ class RecoveryStructure:
         groups = []
         # one pass over the groups, so the first fault in group order is named
         for i, group in enumerate(_require_iterable(self.groups, "recovery structure")):
-            # a set's ids are hashable already; any other group's are checked
-            # before frozenset() hashes them
-            if not isinstance(group, (set, frozenset)):
-                group = list(_require_iterable(group, f"group {i}"))
-            for w in group:
-                _require_nonneg_int(w, "worker id")
-            group = frozenset(group)
+            # each worker id is checked, and made a Python int, before
+            # frozenset() hashes it
+            ids = _require_iterable(group, f"group {i}")
+            group = frozenset(_require_nonneg_int(w, "worker id") for w in ids)
             if not group:
                 raise DomainError(f"group {i} is empty")
             groups.append(group)
@@ -209,5 +245,7 @@ def _require_groups(
     groups = structure.groups
     if n_workers is not None and max(frozenset().union(*groups)) >= n_workers:
         bad = next(g for g in groups if max(g) >= n_workers)
-        raise DomainError(f"group {sorted(bad)} references a worker >= {n_workers}")
+        raise DomainError(
+            f"group {_shown(sorted(bad))} references a worker >= {_shown(n_workers)}"
+        )
     return groups

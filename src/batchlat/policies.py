@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from enum import Enum
+from enum import Enum, EnumMeta
 
 from . import analytics
 from .model import (
@@ -32,6 +32,7 @@ from .model import (
     _require_counts,
     _require_groups,
     _require_replication,
+    _shown,
 )
 
 __all__ = [
@@ -60,7 +61,20 @@ _SHARED_PAIR_GROUPS = (
 )
 
 
-class PolicyKind(str, Enum):
+class _PolicyKindType(EnumMeta):
+    def __call__(cls, value: object, *args, **kwargs):
+        # PolicyKind(name) reports an unknown name as a DomainError. Enum's own
+        # refusal formats repr(value), which raises on an int past the digit limit.
+        try:
+            return super().__call__(value, *args, **kwargs)
+        except ValueError:
+            raise DomainError(
+                f"unknown policy kind {_shown(value)}; "
+                f"expected one of {sorted(k.value for k in cls)}"
+            ) from None
+
+
+class PolicyKind(str, Enum, metaclass=_PolicyKindType):
     """The policy families accepted by the simulator and the CLI."""
 
     BALANCED = "balanced"
@@ -69,13 +83,6 @@ class PolicyKind(str, Enum):
     CYCLIC = "cyclic"
     GROUPED_OVERLAP = "grouped-overlap"
     EXPLICIT_STRUCTURE = "explicit-structure"
-
-    @classmethod
-    def _missing_(cls, value: object):
-        # PolicyKind(name) reports an unknown name as a DomainError.
-        raise DomainError(
-            f"unknown policy kind {value!r}; expected one of {sorted(k.value for k in cls)}"
-        )
 
     @property
     def carries_payload(self) -> bool:
@@ -139,7 +146,7 @@ class PolicySpec:
 
 def balanced_assignment(n_workers: int, n_batches: int) -> tuple[int, ...]:
     """The unique balanced vector: every one of the B batches gets N/B workers."""
-    replication = _require_replication(n_workers, n_batches, "balanced assignment")
+    _, n_batches, replication = _require_replication(n_workers, n_batches, "balanced assignment")
     return (replication,) * n_batches
 
 
@@ -154,7 +161,7 @@ def cyclic_layout(
     windows tile the block set exactly. Refused past N * N/B = 2^20 block ids
     in the windows: at (1024, 1) it takes 0.11-0.21 s and 56 MiB traced.
     """
-    size = _require_replication(n_workers, n_batches, "cyclic layout")
+    n_workers, _, size = _require_replication(n_workers, n_batches, "cyclic layout")
     batches = _windows("cyclic layout", n_workers, size, range(n_workers))
     return batches, RecoveryStructure(_cyclic_groups(n_workers, size))
 
@@ -166,7 +173,8 @@ def _windows(
     wrapping modulo N. Refused past 2^20 ids in all, before any is built."""
     if n_workers * size > 2**20:
         raise ComplexityGuardError(
-            f"{layout} would build {n_workers} windows of {size} block ids (> 2^20 in all)"
+            f"{layout} would build {_shown(n_workers)} windows of {_shown(size)} block ids"
+            " (> 2^20 in all)"
         )
     return tuple(frozenset((s + j) % n_workers for j in range(size)) for s in starts)
 
@@ -211,12 +219,14 @@ def replicated_nonoverlap_layout(
     Materializing the groups is refused beyond MAX_REPLICATED_GROUPS; use
     the assignment-vector form for larger systems.
     """
-    replication = _require_replication(n_workers, n_batches, "replicated layout")
+    n_workers, n_batches, replication = _require_replication(
+        n_workers, n_batches, "replicated layout"
+    )
     # any N/B >= 2 passes 4096 = 2^12 by its 13th power, so (N/B)^B is never built in full
     if replication ** min(n_batches, MAX_REPLICATED_GROUPS.bit_length()) > MAX_REPLICATED_GROUPS:
         raise ComplexityGuardError(
-            f"replicated layout would need {replication}^{n_batches} recovery groups "
-            f"(> {MAX_REPLICATED_GROUPS}); use balanced_assignment instead"
+            f"replicated layout would need {_shown(replication)}^{_shown(n_batches)} recovery"
+            f" groups (> {MAX_REPLICATED_GROUPS}); use balanced_assignment instead"
         )
     starts = (w - w % replication for w in range(n_workers))
     batches = _windows("replicated layout", n_workers, replication, starts)
@@ -256,17 +266,17 @@ def resolve(spec: PolicySpec, params: SystemParams) -> Plan:
     length.
     """
     if not isinstance(spec, PolicySpec):
-        raise DomainError(f"expected a PolicySpec, got {spec!r}")
+        raise DomainError(f"expected a PolicySpec, got {_shown(spec)}")
     if not isinstance(params, SystemParams):
-        raise DomainError(f"expected SystemParams, got {params!r}")
+        raise DomainError(f"expected SystemParams, got {_shown(params)}")
     kind, n, b = spec.kind, params.n_workers, params.n_batches
     # every batch holds a whole number of blocks
     if kind is not PolicyKind.EXPLICIT_STRUCTURE and params.n_blocks % b != 0:
-        raise DomainError(f"n_batches={b} must divide n_blocks={params.n_blocks}")
+        raise DomainError(f"n_batches={_shown(b)} must divide n_blocks={_shown(params.n_blocks)}")
     if kind in (PolicyKind.CYCLIC, PolicyKind.GROUPED_OVERLAP) and params.n_blocks != n:
         raise DomainError(
             "overlapping batching requires n_blocks == n_workers, got "
-            f"S={params.n_blocks}, N={n}"
+            f"S={_shown(params.n_blocks)}, N={_shown(n)}"
         )
     if kind is PolicyKind.BALANCED:
         return Plan(
@@ -277,10 +287,12 @@ def resolve(spec: PolicySpec, params: SystemParams) -> Plan:
         vector = spec.vector
         if len(vector) != b:
             raise DomainError(
-                f"vector has {len(vector)} entries but the system has {b} batches"
+                f"vector has {len(vector)} entries but the system has {_shown(b)} batches"
             )
         if sum(vector) != n:
-            raise DomainError(f"vector assigns {sum(vector)} workers but the system has {n}")
+            raise DomainError(
+                f"vector assigns {_shown(sum(vector))} workers but the system has {_shown(n)}"
+            )
         return Plan(
             counts=vector,
             exact=lambda rate: analytics.expected_time_assignment(vector, rate),

@@ -19,7 +19,14 @@ per trial.
 There are two: ``_run_fold`` serves both deterministic rules (the max over
 batches of replica minima, and the min over recovery groups of group
 maxima, as a two-level fold over worker columns), and ``_run_random_cc``
-re-draws the assignment per trial.
+re-draws the assignment per trial. ``coverage_empirical`` maps a chunk to
+its count of covering trials instead. For B <= 64 batches it holds a
+trial's hit set as one unsigned word of B bits, the OR of 1 << floor(u * B)
+over the trial's draws, reduced over a worker-major copy when the chunk
+holds at least as many trials as workers and along each trial's row
+otherwise; past 64 batches it marks an (m, B) table through
+``_batch_slots``, as random-cc does. Both take floor(u * B) from the same
+float multiply and clamp, so both give the same count.
 
 Service times come from the inverse CDF, ``-log1p(-u) / rate`` with u
 uniform on [0, 1), clamped to the smallest positive normal float so samples
@@ -66,6 +73,7 @@ from .model import (
     _require_positive_int,
     _require_rate,
     _require_sample_count,
+    _shown,
 )
 from .policies import Plan, PolicySpec, resolve
 
@@ -90,14 +98,22 @@ _BLOCK = 1 << 13
 _MAX_WORKERS = 1 << 20
 
 
+def _require_sampled_workers(n_workers: int) -> None:
+    """Refuse a trial of more than 2^20 workers, before anything is built for it."""
+    if n_workers > _MAX_WORKERS:
+        raise ComplexityGuardError(
+            f"sampling N={_shown(n_workers)} workers exceeds the N <= 2^20 guard"
+        )
+
+
 def derive_seed(master_seed: int, index: int) -> int:
     """Deterministic 64-bit child seed for stream ``index`` under ``master_seed``.
 
     Children of distinct indices are statistically independent, so grid
     points or test cases can each own a stream derived from one master seed.
     """
-    _require_nonneg_int(master_seed, "master_seed")
-    _require_nonneg_int(index, "index")
+    master_seed = _require_nonneg_int(master_seed, "master_seed")
+    index = _require_nonneg_int(index, "index")
     return int(SeedSequence([master_seed, index]).generate_state(1, np.uint64)[0])
 
 
@@ -173,9 +189,9 @@ class SimConfig:
     plan: Plan = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _require_sample_count(self.n_samples, "n_samples")
-        _require_nonneg_int(self.seed, "seed")
-        _require_rate(self.rate, "rate")
+        object.__setattr__(self, "n_samples", _require_sample_count(self.n_samples, "n_samples"))
+        object.__setattr__(self, "seed", _require_nonneg_int(self.seed, "seed"))
+        object.__setattr__(self, "rate", _require_rate(self.rate, "rate"))
         object.__setattr__(self, "plan", resolve(self.policy, self.system))
 
 
@@ -207,7 +223,8 @@ def _run_fold(
 
 def _batch_slots(u: np.ndarray, n_batches: int) -> np.ndarray:
     """Flat (trial, batch) index into an (m, B) table of each uniform of u,
-    where a uniform picks batch floor(u * B) of its row's trial."""
+    where a uniform picks batch floor(u * B) of its row's trial. It serves
+    random-cc, and coverage past the 64 batches that a hit word holds."""
     m = u.shape[0]
     # floor(u * B), cast into one fresh array; u < 1, so the clip only
     # guards the rounding edge of the multiply
@@ -247,11 +264,10 @@ def monte_carlo(cfg: SimConfig) -> CompletionEstimate:
     kept; they match a one-pass ``mean`` and ``std`` up to the last bits.
     """
     if not isinstance(cfg, SimConfig):
-        raise DomainError(f"expected a SimConfig, got {cfg!r}")
+        raise DomainError(f"expected a SimConfig, got {_shown(cfg)}")
     plan, n, rate = cfg.plan, cfg.n_samples, cfg.rate
     draws, covers = cfg.system.n_workers, True
-    if draws > _MAX_WORKERS:  # before any group or uniform exists
-        raise ComplexityGuardError(f"sampling N={draws} workers exceeds the N <= 2^20 guard")
+    _require_sampled_workers(draws)  # before any group or uniform exists
     if plan.counts is not None:
         ends = itertools.accumulate(plan.counts)
         runs = [range(end - c, end) for c, end in zip(plan.counts, ends)]
@@ -292,7 +308,7 @@ def monte_carlo(cfg: SimConfig) -> CompletionEstimate:
 
     if n_covered == 0:
         raise NoCoverageError(
-            f"none of the {n} trials covered all {cfg.system.n_batches} batches"
+            f"none of the {n} trials covered all {_shown(cfg.system.n_batches)} batches"
         )
     coverage_rate = n_covered / n
     std = math.sqrt(m2 / (n_covered - 1)) if n_covered > 1 else 0.0
@@ -309,24 +325,46 @@ def monte_carlo(cfg: SimConfig) -> CompletionEstimate:
     )
 
 
+def _covering_words(u: np.ndarray, n_batches: int) -> int:
+    """How many trials (rows) of u hit all B <= 64 batches, each trial's hit
+    set held as one word of B bits: the OR of 1 << floor(u * B) over its
+    draws, in the narrowest unsigned type that holds 2^B - 1."""
+    m, n = u.shape
+    word = np.min_scalar_type((1 << n_batches) - 1)
+    # with at least as many trials as workers, one elementwise OR per worker
+    # row of a worker-major copy; with fewer, one OR along each trial's row
+    by_worker = m >= n
+    ids = np.empty((n, m) if by_worker else (m, n), np.uint8)
+    # floor(u * B) from the same float multiply as _batch_slots, cast into
+    # uint8; u < 1, so the clip only guards the rounding edge of the multiply
+    np.multiply(u.T if by_worker else u, n_batches, out=ids, casting="unsafe")
+    np.minimum(ids, n_batches - 1, out=ids)
+    words = np.bitwise_or.reduce(np.left_shift(word.type(1), ids), axis=0 if by_worker else 1)
+    return int(np.count_nonzero(words == (1 << n_batches) - 1))
+
+
+def _covering_table(u: np.ndarray, n_batches: int) -> int:
+    """How many trials (rows) of u hit all B batches, marked in an (m, B)
+    table of hits; for B past the 64 bits of a hit word."""
+    hit = np.zeros((len(u), n_batches), dtype=bool)
+    hit.reshape(-1)[_batch_slots(u, n_batches)] = True
+    # fold the batch columns; all() along the short row axis is slower
+    covered = hit[:, 0].copy()
+    for column in hit.T[1:]:
+        covered &= column
+    return int(covered.sum())
+
+
 def coverage_empirical(n_batches: int, n_workers: int, n_samples: int, seed: int) -> float:
     """Fraction of ``n_samples`` trials (1 to 2^53) in which N uniform draws
     hit every one of B batches."""
-    _require_positive_int(n_batches, "n_batches")
-    _require_positive_int(n_workers, "n_workers")
-    _require_sample_count(n_samples, "n_samples")
-    _require_nonneg_int(seed, "seed")
-    if n_workers > _MAX_WORKERS:
-        raise ComplexityGuardError(f"sampling N={n_workers} workers exceeds the N <= 2^20 guard")
+    n_batches = _require_positive_int(n_batches, "n_batches")
+    n_workers = _require_positive_int(n_workers, "n_workers")
+    n_samples = _require_sample_count(n_samples, "n_samples")
+    seed = _require_nonneg_int(seed, "seed")
+    _require_sampled_workers(n_workers)
     if n_batches > n_workers:
         return 0.0  # N draws hit at most N batches
-    hits = 0
-    for u in _chunks(seed, n_samples, n_workers):
-        hit = np.zeros((len(u), n_batches), dtype=bool)
-        hit.reshape(-1)[_batch_slots(u, n_batches)] = True
-        # fold the batch columns; all() along the short row axis is slower
-        covered = hit[:, 0].copy()
-        for column in hit.T[1:]:
-            covered &= column
-        hits += int(covered.sum())
+    count = _covering_words if n_batches <= 64 else _covering_table
+    hits = sum(count(u, n_batches) for u in _chunks(seed, n_samples, n_workers))
     return hits / n_samples

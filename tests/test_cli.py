@@ -81,6 +81,11 @@ class TestSweepSpec:
         with pytest.raises(DomainError, match=f"^unknown sweep config keys: {keys}$"):
             SweepSpec.from_dict(data)
 
+    def test_key_past_the_digit_limit_reported_in_hex(self):
+        # str() of an int past 4300 digits raises ValueError
+        with pytest.raises(DomainError, match=f"^unknown sweep config keys: {hex(10**5000)}$"):
+            SweepSpec.from_dict({10**5000: 2})
+
     def test_payload_policies_rejected(self):
         with pytest.raises(DomainError):
             SweepSpec(policies=("explicit-vector",))

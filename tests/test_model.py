@@ -4,12 +4,15 @@ message that names each refused rule."""
 import dataclasses
 import itertools
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from batchlat.analytics import (
     exact_expected_time_structure,
     expected_time_assignment,
+    expected_time_balanced,
     incomplete_subset_counts,
     majorizes,
     rearranged,
@@ -22,7 +25,8 @@ from batchlat.model import (
     _require_counts,
     _require_groups,
 )
-from batchlat.policies import PolicyKind, PolicySpec, resolve
+from batchlat.policies import PolicyKind, PolicySpec, balanced_assignment, resolve
+from batchlat.sim import coverage_empirical
 
 
 class TestSystemParams:
@@ -236,3 +240,67 @@ def test_sets_of_worker_ids_are_accepted():
     groups = (frozenset({0, 1}), frozenset({2}))
     assert RecoveryStructure(set(groups)).groups in (groups, groups[::-1])
     assert RecoveryStructure([{0, 1}, {2}]).groups == groups
+
+
+class TestNumpyScalars:
+    """numpy integers are accepted where an int belongs, and any real where a
+    rate belongs, each converted to the Python number it equals before it is
+    used, since numpy's fixed-width arithmetic wraps: np.int64(1) << 64 is 0."""
+
+    def test_integer_size(self):
+        got = expected_time_balanced(np.int64(6), np.int32(3))
+        assert got == expected_time_balanced(6, 3)
+
+    def test_integer_vector(self):
+        spec = PolicySpec("explicit-vector", vector=np.array([2, 2, 2]))
+        assert spec == PolicySpec("explicit-vector", vector=(2, 2, 2))
+        assert all(type(c) is int for c in spec.vector)
+
+    def test_real_rate(self):
+        assert expected_time_balanced(6, 3, np.float32(2.0)) == expected_time_balanced(6, 3, 2.0)
+        assert SystemParams(6, 6, 3, np.float32(0.5)).rate == 0.5
+
+    def test_stored_as_python_numbers(self):
+        p = SystemParams(np.int64(6), np.uint8(6), np.int16(3), np.int64(2))
+        assert p == SystemParams(6, 6, 3, 2.0)
+        assert [type(v) for v in dataclasses.astuple(p)] == [int, int, int, float]
+        assert RecoveryStructure([np.array([0, 1])]).groups == (frozenset({0, 1}),)
+        assert all(type(w) is int for w in RecoveryStructure([np.array([0, 1])]).groups[0])
+
+    def test_coverage_word_width_from_python_int(self):
+        # 1 << B at B = 64 needs the Python int: in int64 it is 0
+        want = coverage_empirical(64, 200, 2000, 1)
+        assert coverage_empirical(np.int64(64), 200, 2000, 1) == want
+
+    @pytest.mark.parametrize("value", [True, np.True_, np.float64(6.0), np.array([6])],
+                             ids=["bool", "np.bool_", "np.float64", "array"])
+    def test_non_integers_still_refused(self, value):
+        with pytest.raises(DomainError, match="^n_workers must be an integer, got "):
+            expected_time_balanced(value, 3)
+
+    @pytest.mark.parametrize("rate", [True, np.True_, "2", 1j],
+                             ids=["bool", "np.bool_", "str", "complex"])
+    def test_non_real_rate_still_refused(self, rate):
+        with pytest.raises(DomainError, match="^rate must be a number, got "):
+            expected_time_balanced(6, 3, rate)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: balanced_assignment(10**5000, 3),
+    lambda: expected_time_balanced(-10**5000, 3),
+    lambda: SystemParams(6, 6, 3, -10**5000),
+], ids=["balanced_assignment", "expected_time_balanced", "SystemParams"])
+def test_integer_past_the_digit_limit_is_shown_in_hex(call):
+    # repr() of an int past 4300 digits raises ValueError, so the message
+    # shows it in hex rather than end in that error
+    with pytest.raises(DomainError, match=r"[ =]-?0x[0-9a-f]+$"):
+        call()
+
+
+@pytest.mark.parametrize("call, shown", [
+    (lambda: expected_time_balanced(6, 3, Fraction(10**5000, 3)), "a Fraction"),
+    (lambda: exact_expected_time_structure([[10**5000]], 3), "a list"),
+], ids=["fraction-rate", "worker-id"])
+def test_value_holding_such_an_int_is_shown_by_type(call, shown):
+    with pytest.raises(DomainError, match=f" {shown} too long to show"):
+        call()

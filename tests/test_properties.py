@@ -28,6 +28,7 @@ from batchlat.analytics import (
     incomplete_subset_counts,
 )
 from batchlat.cli import SweepSpec
+from batchlat.model import _shown
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None)
 
@@ -159,11 +160,12 @@ def test_run_random_cc_equals_naive_reduction(seed, m, n, b):
 
 # Values that a caller could pass by mistake in place of a size, a rate, a
 # seed, a list or an object: wrong types, wrong signs, non-finite floats,
-# sizes past every guard, and numpy scalars (refused for now; a later change
-# may accept numpy integers, after converting them to Python ints).
+# sizes past every guard, ints past the 4300 digits that repr() formats, and
+# numpy scalars (a numpy integer is accepted where an int belongs, and any of
+# them where a rate belongs, converted to a Python number first).
 HOSTILE = [
     0, -1, 1.5, True, None, "3", b"3", [1], {}, {1: 2}, set(), math.nan, math.inf, -math.inf,
-    2**64, 10**400, np.int64(4), np.int64(-1), np.float32(2.0), object(),
+    2**64, 10**400, 10**5000, -10**5000, np.int64(4), np.int64(-1), np.float32(2.0), object(),
 ]
 
 _GROUPS = [{0, 1}, {2, 3}]
@@ -235,5 +237,5 @@ def test_hostile_values_are_accepted_or_refused(name):
         except BatchlatError:
             pass
         except Exception as exc:  # anything else escaped the checks
-            escaped.append(f"argument {i} = {value!r}: {type(exc).__name__}: {exc}")
+            escaped.append(f"argument {i} = {_shown(value)}: {type(exc).__name__}: {exc}")
     assert escaped == []

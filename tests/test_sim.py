@@ -612,20 +612,41 @@ class TestCoverageEmpirical:
         with pytest.raises(Sampled):
             coverage_empirical(3, 6, 2**53, 0)
 
+    @staticmethod
+    def _sorted_hits(u, n_batches):
+        """Reference: sort each row's batch ids and count the distinct ones."""
+        ids = np.minimum((u * n_batches).astype(np.int64), n_batches - 1)
+        ids.sort(axis=1)
+        distinct = (np.diff(ids, axis=1) != 0).sum(axis=1) + 1
+        return int((distinct == n_batches).sum())
+
     @pytest.mark.parametrize("n_batches,n_workers", [
         (1, 6), (3, 6), (6, 6), (7, 6), (10, 20), (20, 20), (1, 1), (2, 1),
     ])
     def test_matches_sort_and_diff_count(self, monkeypatch, n_batches, n_workers):
-        # Reference: sort each row's batch ids and count the distinct ones.
-        def hits(u):
-            ids = np.minimum((u * n_batches).astype(np.int64), n_batches - 1)
-            ids.sort(axis=1)
-            distinct = (np.diff(ids, axis=1) != 0).sum(axis=1) + 1
-            return int((distinct == n_batches).sum())
-
         monkeypatch.setattr(sim, "_CHUNK_BYTES", 1 << 17)  # 819 to 4096 trials
         n, seed = 10_000, 3
-        want = sum(hits(u) for u in sim._chunks(seed, n, n_workers))
+        want = sum(self._sorted_hits(u, n_batches) for u in sim._chunks(seed, n, n_workers))
+        assert coverage_empirical(n_batches, n_workers, n, seed) == want / n
+
+    @pytest.mark.parametrize("trials_per_chunk", ["at least N", "below N"])
+    @pytest.mark.parametrize("n_batches", [1, 2, 8, 9, 16, 17, 32, 33, 63, 64, 65])
+    def test_hit_words_match_sort_and_diff_count(self, monkeypatch, n_batches, trials_per_chunk):
+        # Both reduction axes of the hit words, across the 8-, 16-, 32- and
+        # 64-bit word widths, and B = 65 past them on the table path. About
+        # B (ln B + 1) draws cover all B batches in roughly half the trials.
+        n_workers = max(2, math.ceil(n_batches * (math.log(n_batches) + 1)))
+        width = 4 * ((n_workers + 3) // 4)
+        per_chunk = 2 * n_workers if trials_per_chunk == "at least N" else n_workers // 2
+        monkeypatch.setattr(sim, "_CHUNK_BYTES", 8 * width * per_chunk)
+        n, seed = 3000, 5
+        # every chunk is a view of one reused buffer, so each is read in turn
+        sizes, want = set(), 0
+        for u in sim._chunks(seed, n, n_workers):
+            sizes.add(len(u))
+            want += self._sorted_hits(u, n_batches)
+        assert (max(sizes) >= n_workers) == (trials_per_chunk == "at least N")
+        assert 0 < want < n or n_batches == 1
         assert coverage_empirical(n_batches, n_workers, n, seed) == want / n
 
 
