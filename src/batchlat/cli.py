@@ -9,6 +9,9 @@ fixed six-worker comparison of the three overlapping-batching policies).
 Exit codes: 0 success; 2 usage or domain errors; 3 complexity-guard,
 no-coverage or out-of-memory errors; 4 I/O errors.
 
+Every estimate, with its exact value, comes from ``_estimate``, and every value
+printed or written goes through ``_text``.
+
 This module only turns text into values. Each flag's type parses its text
 and hands the value to the model's check for that input (the ``_require_*``
 helpers in ``batchlat.model``), so a bad value is refused at parse time, even
@@ -42,9 +45,11 @@ import numpy as np
 
 from . import analytics
 from .model import (
+    CompletionEstimate,
     ComplexityGuardError,
     DomainError,
     NoCoverageError,
+    SystemParams,
     _require_counts,
     _require_groups,
     _require_list,
@@ -55,7 +60,6 @@ from .model import (
     _shown,
 )
 from .policies import (
-    Plan,
     PolicyKind,
     PolicySpec,
     balanced_assignment,
@@ -100,6 +104,13 @@ def _fmt(x: float) -> str:
     return format(float(x), ".9g")
 
 
+def _text(value: object) -> str:
+    """A value as printed or written: a float through _fmt, a bool as yes/no, else str()."""
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    return _fmt(value) if isinstance(value, float) else str(value)
+
+
 def _require_ci_samples(samples: int) -> None:
     if samples < _MIN_SAMPLES_FOR_CI:
         raise DomainError(
@@ -108,22 +119,30 @@ def _require_ci_samples(samples: int) -> None:
         )
 
 
-def _print_report(lines: list[tuple[str, str]]) -> None:
+def _print_report(lines: list[tuple[str, object]]) -> None:
     """Print ``key: value`` lines with the values aligned in one column."""
     width = max(len(key) for key, _ in lines) + 1
     for key, value in lines:
-        print(f"{key + ':':<{width}} {value}")
+        print(f"{key + ':':<{width}} {_text(value)}")
 
 
-def _exact_or_none(plan: Plan, rate: float) -> float | None:
-    """The plan's exact expected time, or None when no exact method applies
-    (random-cc, or instances beyond the complexity guards)."""
-    if plan.exact is None:
-        return None
+def _print_table(columns: Sequence[tuple[str, str]], rows: list[dict]) -> None:
+    """Print the column names, then each row, every cell padded by its column's format spec."""
+    for row in [{name: name for name, _ in columns}, *rows]:
+        print(" ".join(format(_text(row[name]), spec) for name, spec in columns))
+
+
+def _estimate(
+    policy: PolicySpec, system: SystemParams, rate: float, n_samples: int, seed: int
+) -> tuple[CompletionEstimate, float | None]:
+    """The Monte Carlo estimate of one configuration, and its exact expected time
+    or None where no exact method applies (random-cc, or beyond the complexity guards)."""
+    cfg = SimConfig(n_samples=n_samples, seed=seed, rate=rate, policy=policy, system=system)
+    estimate = monte_carlo(cfg)
     try:
-        return plan.exact(rate)
+        return estimate, None if cfg.plan.exact is None else cfg.plan.exact(rate)
     except ComplexityGuardError:
-        return None
+        return estimate, None
 
 
 @dataclass(frozen=True)
@@ -205,14 +224,9 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     def evaluate(index: int) -> dict:
         policy_name, b, rate = points[index]
         policy = PolicySpec(PolicyKind(policy_name))
-        cfg = SimConfig(
-            n_samples=spec.n_samples,
-            seed=derive_seed(spec.seed, index),
-            rate=rate,
-            policy=policy,
-            system=policy.system(spec.n_workers, b),
-        )
-        estimate = monte_carlo(cfg)
+        seed = derive_seed(spec.seed, index)
+        system = policy.system(spec.n_workers, b)
+        estimate, exact = _estimate(policy, system, rate, spec.n_samples, seed)
         return {
             "policy": policy_name,
             "N": spec.n_workers,
@@ -221,9 +235,9 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
             "mean": estimate.mean,
             "ci_low": estimate.ci95_low,
             "ci_high": estimate.ci95_high,
-            "exact": _exact_or_none(cfg.plan, rate),
+            "exact": exact,
             "n_samples": spec.n_samples,
-            "seed": cfg.seed,
+            "seed": seed,
         }
 
     with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
@@ -235,7 +249,7 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
 def _write_table(path: str, fmt: str, columns: Sequence[str], rows: list[dict]) -> None:
     """Write the given columns of each row as CSV or as a JSON list of objects.
 
-    Floats go through _fmt (JSON reads the digits back, so both formats carry
+    Floats go through _text (JSON reads the digits back, so both formats carry
     the same values); None is an empty CSV cell or a JSON null; other values,
     such as ints, are written as they are.
     """
@@ -243,7 +257,7 @@ def _write_table(path: str, fmt: str, columns: Sequence[str], rows: list[dict]) 
     def cell(value: object) -> object:
         if not isinstance(value, float):
             return value
-        return _fmt(value) if fmt == "csv" else float(_fmt(value))
+        return _text(value) if fmt == "csv" else float(_text(value))
 
     table = [[cell(row[c]) for c in columns] for row in rows]
     with open(path, "w", newline="") as fh:
@@ -363,9 +377,7 @@ def cmd_coverage(args: argparse.Namespace) -> int:
             row["empirical"] = coverage_empirical(b, n, args.samples, seed)
         rows.append(row)
     values = [c for c, wanted in (("exact", want_exact), ("empirical", want_empirical)) if wanted]
-    print(f"{'B':>4} {'N':>4}" + "".join(f" {c:>14}" for c in values))
-    for row in rows:
-        print(f"{row['B']:>4} {row['N']:>4}" + "".join(f" {_fmt(row[c]):>14}" for c in values))
+    _print_table([("B", ">4"), ("N", ">4"), *((c, ">14") for c in values)], rows)
     if args.out:
         _write_table(args.out, args.format, ["B", "N", *values], rows)
         print(f"wrote {len(rows)} rows to {args.out}")
@@ -391,31 +403,29 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         lines.append(
             ("groups", "; ".join("{" + ", ".join(map(str, sorted(g))) + "}" for g in spec.groups))
         )
-    lines.append(("n_workers", str(n)))
+    lines.append(("n_workers", n))
     # Structure groups do not determine B; without -B there is no bound to show.
     show_bound = _batches_known(spec, args)
     if show_bound:
-        lines.append(("n_batches", str(b)))
-    lines.append(("rate", _fmt(rate)))
-    lines.append(("expected_time", _fmt(exact)))
+        lines.append(("n_batches", b))
+    lines += [("rate", rate), ("expected_time", exact)]
     if show_bound and b <= n:
         # Reference value of the balanced assignment on the same shape; it
         # is attainable only when B divides N. Past N, which only a
         # structure's B reaches, no assignment covers every batch.
         bound = float(analytics.harmonic(b) * b / n) / rate
-        lines.append(("balanced_bound", _fmt(bound)))
-        lines.append(("ratio_to_bound", _fmt(exact / bound)))
+        lines += [("balanced_bound", bound), ("ratio_to_bound", exact / bound)]
     if plan.counts is not None and n % b == 0:
         counts = plan.counts
         balanced = balanced_assignment(n, b)
         # B positive counts summing to N (PolicySpec refuses a zero) are
         # majorized by the balanced ones exactly when they are all equal.
-        minimal = "yes" if analytics.majorizes(balanced, counts) else "no"
-        lines.append(("is_balanced", minimal))
-        lines.append(
-            ("majorizes_balanced", "yes" if analytics.majorizes(counts, balanced) else "no")
-        )
-        lines.append(("majorized_by_balanced", minimal))
+        minimal = analytics.majorizes(balanced, counts)
+        lines += [
+            ("is_balanced", minimal),
+            ("majorizes_balanced", analytics.majorizes(counts, balanced)),
+            ("majorized_by_balanced", minimal),
+        ]
     _print_report(lines)
     return EXIT_OK
 
@@ -424,26 +434,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     spec = _policy_from_args(args)
     system = spec.system(args.n_workers, args.n_batches)
     _require_ci_samples(args.samples)
-    cfg = SimConfig(
-        n_samples=args.samples, seed=args.seed, rate=args.rate, policy=spec, system=system
-    )
-    estimate = monte_carlo(cfg)
-    exact = _exact_or_none(cfg.plan, args.rate)
-    lines = [("policy", spec.kind.value), ("n_workers", str(system.n_workers))]
+    estimate, exact = _estimate(spec, system, args.rate, args.samples, args.seed)
+    lines = [("policy", spec.kind.value), ("n_workers", system.n_workers)]
     if _batches_known(spec, args):
-        lines.append(("n_batches", str(system.n_batches)))
+        lines.append(("n_batches", system.n_batches))
     lines += [
-        ("rate", _fmt(args.rate)),
-        ("n_samples", str(args.samples)),
-        ("seed", str(args.seed)),
-        ("coverage_rate", _fmt(estimate.coverage_rate)),
-        ("mean", _fmt(estimate.mean)),
-        ("std_error", _fmt(estimate.std_error)),
-        ("ci95", f"[{_fmt(estimate.ci95_low)}, {_fmt(estimate.ci95_high)}]"),
+        ("rate", args.rate), ("n_samples", args.samples), ("seed", args.seed),
+        ("coverage_rate", estimate.coverage_rate), ("mean", estimate.mean),
+        ("std_error", estimate.std_error),
+        ("ci95", f"[{_text(estimate.ci95_low)}, {_text(estimate.ci95_high)}]"),
     ]
     if exact is not None:
-        lines.append(("exact", _fmt(exact)))
-        lines.append(("within_ci", "yes" if estimate.contains(exact) else "no"))
+        lines += [("exact", exact), ("within_ci", estimate.contains(exact))]
     _print_report(lines)
     return EXIT_OK
 
@@ -456,17 +458,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 config = json.load(fh)
             except ValueError as exc:  # JSONDecodeError, or an integer of over 4300 digits
                 raise DomainError(f"invalid JSON in {args.config}: {exc}") from None
-    flags = {
-        "n_workers": args.n_workers,
-        "b_values": args.n_batches,
-        "rates": args.rates,
-        "policies": args.policy,
-        "n_samples": args.samples,
-        "seed": args.seed,
-        "output_path": args.out,
-        "format": args.format,
-    }
-    spec = SweepSpec.from_dict(config, **{k: v for k, v in flags.items() if v is not None})
+    # each sweep flag's dest is the SweepSpec field it overrides
+    flags = {f.name: v for f in fields(SweepSpec) if (v := getattr(args, f.name)) is not None}
+    spec = SweepSpec.from_dict(config, **flags)
     rows = run_sweep(spec)
     print(f"wrote {len(rows)} rows to {spec.output_path} ({spec.format})")
     return EXIT_OK
@@ -475,35 +469,24 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_compare_policies(args: argparse.Namespace) -> int:
     """The fixed N = S = 6, B = 3 three-way comparison of overlapping policies."""
     _require_ci_samples(args.samples)
-    cfgs = {
-        label: SimConfig(
-            n_samples=args.samples,
-            seed=derive_seed(args.seed, index),
-            rate=args.rate,
-            policy=policy,
-            system=policy.system(6, 3),
-        )
-        for index, (label, policy) in enumerate((
-            ("cyclic", PolicySpec(PolicyKind.CYCLIC)),
-            ("grouped-overlap", PolicySpec(PolicyKind.GROUPED_OVERLAP)),
-            # the max over batches of replica minima is the min over the
-            # replicated layout's groups of group maxima, trial by trial
-            ("replicated", PolicySpec(PolicyKind.BALANCED)),
-        ))
-    }
-    exacts = {label: cfg.plan.exact(args.rate) for label, cfg in cfgs.items()}
-    print(
-        f"{'policy':<16} {'exact':>12} {'mc_mean':>12} {'ci95_low':>12} "
-        f"{'ci95_high':>12} {'within_ci':>9}"
-    )
-    for label, cfg in cfgs.items():
-        estimate = monte_carlo(cfg)
-        within = estimate.contains(exacts[label])
-        print(
-            f"{label:<16} {_fmt(exacts[label]):>12} {_fmt(estimate.mean):>12} "
-            f"{_fmt(estimate.ci95_low):>12} {_fmt(estimate.ci95_high):>12} "
-            f"{'yes' if within else 'no':>9}"
-        )
+    rows = []
+    for index, (label, kind) in enumerate((
+        ("cyclic", PolicyKind.CYCLIC),
+        ("grouped-overlap", PolicyKind.GROUPED_OVERLAP),
+        # the max over batches of replica minima is the min over the
+        # replicated layout's groups of group maxima, trial by trial
+        ("replicated", PolicyKind.BALANCED),
+    )):
+        policy = PolicySpec(kind)
+        seed = derive_seed(args.seed, index)
+        estimate, exact = _estimate(policy, policy.system(6, 3), args.rate, args.samples, seed)
+        rows.append({
+            "policy": label, "exact": exact, "mc_mean": estimate.mean,
+            "ci95_low": estimate.ci95_low, "ci95_high": estimate.ci95_high,
+            "within_ci": estimate.contains(exact),
+        })
+    _print_table([("policy", "<16"), ("exact", ">12"), ("mc_mean", ">12"), ("ci95_low", ">12"),
+                  ("ci95_high", ">12"), ("within_ci", ">9")], rows)
     return EXIT_OK
 
 
@@ -601,7 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--config", metavar="PATH", help="JSON config; flags override its values")
     sw.add_argument("-N", "--n-workers", type=n_workers)
     sw.add_argument(
-        "-B", "--n-batches", metavar="LIST",
+        "-B", "--n-batches", dest="b_values", metavar="LIST",
         type=_arg(count_list, _require_list, "b_values", _require_positive_int),
     )
     sw.add_argument(
@@ -609,12 +592,13 @@ def build_parser() -> argparse.ArgumentParser:
         type=_arg(partial(_split, parse=float), _require_list, "rates", _require_rate),
     )
     sw.add_argument(
-        "--policy", type=_arg(_split, _require_list, "policies"), metavar="P1,P2,...",
+        "--policy", dest="policies", metavar="P1,P2,...",
+        type=_arg(_split, _require_list, "policies"),
         help="comma-separated policy kinds (default balanced,cyclic)",
     )
-    sw.add_argument("--samples", type=samples)
+    sw.add_argument("--samples", dest="n_samples", metavar="SAMPLES", type=samples)
     sw.add_argument("--seed", type=seed)
-    sw.add_argument("--out", metavar="PATH")
+    sw.add_argument("--out", dest="output_path", metavar="PATH")
     sw.add_argument("--format", choices=("csv", "json"))
     sw.set_defaults(func=cmd_sweep)
 

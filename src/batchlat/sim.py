@@ -26,7 +26,9 @@ over the trial's draws, reduced over a worker-major copy when the chunk
 holds at least as many trials as workers and along each trial's row
 otherwise; past 64 batches it marks an (m, B) table through
 ``_batch_slots``, as random-cc does. Both take floor(u * B) from the same
-float multiply and clamp, so both give the same count.
+float multiply, so both give the same count. No draw exceeds 1 - 2^-53, and
+for every B <= 2^53 that value times B rounds to below B, so floor(u * B) is
+always a batch id in [0, B).
 
 Service times come from the inverse CDF, ``-log1p(-u) / rate`` with u
 uniform on [0, 1), clamped to the smallest positive normal float so samples
@@ -226,10 +228,8 @@ def _batch_slots(u: np.ndarray, n_batches: int) -> np.ndarray:
     where a uniform picks batch floor(u * B) of its row's trial. It serves
     random-cc, and coverage past the 64 batches that a hit word holds."""
     m = u.shape[0]
-    # floor(u * B), cast into one fresh array; u < 1, so the clip only
-    # guards the rounding edge of the multiply
+    # floor(u * B), cast into one fresh array
     idx = np.multiply(u, n_batches, out=np.empty(u.shape, np.int64), casting="unsafe")
-    np.minimum(idx, n_batches - 1, out=idx)
     idx += np.arange(0, m * n_batches, n_batches, dtype=np.int64)[:, None]
     return idx
 
@@ -335,10 +335,8 @@ def _covering_words(u: np.ndarray, n_batches: int) -> int:
     # row of a worker-major copy; with fewer, one OR along each trial's row
     by_worker = m >= n
     ids = np.empty((n, m) if by_worker else (m, n), np.uint8)
-    # floor(u * B) from the same float multiply as _batch_slots, cast into
-    # uint8; u < 1, so the clip only guards the rounding edge of the multiply
+    # floor(u * B) from the same float multiply as _batch_slots, cast into uint8
     np.multiply(u.T if by_worker else u, n_batches, out=ids, casting="unsafe")
-    np.minimum(ids, n_batches - 1, out=ids)
     words = np.bitwise_or.reduce(np.left_shift(word.type(1), ids), axis=0 if by_worker else 1)
     return int(np.count_nonzero(words == (1 << n_batches) - 1))
 

@@ -3,18 +3,18 @@
 Each criterion prints its verdict even under pytest's output capture. The
 Monte Carlo checks run at fixed seeds, so every run of this suite is
 deterministic; the pinned seeds give runs whose confidence intervals cover
-the exact values, which is the behaviour the criteria demand. Next to AC5
-and AC6, a seed-robust check counts the interval misses of the same grids
-over many derived seeds against the binomial law they must follow.
+the exact values, which is the behaviour the criteria demand. Next to AC4,
+AC5 and AC6, seed-robust checks count the coverage hits and the interval
+misses over many derived seeds against the binomial laws they must follow.
 """
 
-import itertools
 import math
 import time
 from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
+from scipy.stats import binom
 
 from batchlat.analytics import (
     coverage_probability,
@@ -39,6 +39,7 @@ from batchlat.policies import (
     shared_pair_layout,
 )
 from batchlat.sim import SimConfig, coverage_empirical, derive_seed, monte_carlo
+from reference import compositions, coverage_exact_n, product_groups, stirling2
 
 SEED_AC1 = 0
 SEED_AC2 = 0
@@ -57,35 +58,6 @@ def _criterion(capsys, tag, description):
         raise
     with capsys.disabled():
         print(f"[{tag}] {description}: PASS")
-
-
-def _compositions(total, parts):
-    for cuts in itertools.combinations(range(1, total), parts - 1):
-        bounds = (0,) + cuts + (total,)
-        yield tuple(bounds[i + 1] - bounds[i] for i in range(parts))
-
-
-def _product_groups(counts):
-    offsets = [0]
-    for c in counts[:-1]:
-        offsets.append(offsets[-1] + c)
-    choices = [range(offsets[i], offsets[i] + counts[i]) for i in range(len(counts))]
-    return [frozenset(pick) for pick in itertools.product(*choices)]
-
-
-def _stirling2(n, k):
-    """S(n, k) by the recurrence S(n, k) = k*S(n-1, k) + S(n-1, k-1)."""
-    row = [1] + [0] * k
-    for _ in range(n):
-        for j in range(k, 0, -1):
-            row[j] = j * row[j] + row[j - 1]
-        row[0] = 0
-    return row[k]
-
-
-def _coverage_exact_n(b, n):
-    """P(the n-th draw completes coverage of b batches), b! S(n-1, b-1) / b^n."""
-    return Fraction(math.factorial(b) * _stirling2(n - 1, b - 1), b**n)
 
 
 def _vector_system(n, b):
@@ -153,7 +125,7 @@ def test_ac3_balanced_strictly_optimal_and_order_preserved(capsys):
     ):
         start = time.perf_counter()
         for n, b in [(6, 3), (8, 4), (9, 3), (10, 5), (12, 4)]:
-            comps = list(_compositions(n, b))
+            comps = list(compositions(n, b))
             exact = {c: expected_time_assignment_rational(c) for c in comps}
             approx = {c: expected_time_assignment(c) for c in comps}
             balanced = (n // b,) * b
@@ -182,10 +154,10 @@ def test_ac4_coverage_probability_all_routes(capsys):
                 direct = coverage_probability(b, n).fraction
                 assert 0 <= direct <= 1, (b, n)
                 # the Stirling recurrence shares no code with the surjection sum
-                recurrence = Fraction(math.factorial(b) * _stirling2(n, b), b**n)
+                recurrence = Fraction(math.factorial(b) * stirling2(n, b), b**n)
                 assert direct == recurrence, (b, n)
                 partial = sum(
-                    (_coverage_exact_n(b, m) for m in range(1, n + 1)), Fraction(0)
+                    (coverage_exact_n(b, m) for m in range(1, n + 1)), Fraction(0)
                 )
                 assert partial == direct, (b, n)
         for index, (b, n) in enumerate([(2, 2), (3, 6), (5, 15)]):
@@ -200,6 +172,29 @@ def test_ac4_coverage_probability_all_routes(capsys):
         for b in range(1, 21):
             probs = [coverage_probability(b, n).fraction for n in (10, 15, 20, 25)]
             assert all(x <= y for x, y in zip(probs, probs[1:])), b
+
+
+def test_coverage_hits_fit_the_binomial_at_any_seed(capsys):
+    with _criterion(
+        capsys,
+        "AC4 over seeds",
+        "empirical coverage hits over many derived seeds fit Binomial(K*n, P)",
+    ):
+        # The hit count of n trials is exactly Binomial(n, P), P the exact
+        # coverage probability, so the total over K seeds holds at any master
+        # seed. (10, 20) and (64, 200) take the hit-word path, (65, 200) the
+        # table path. False alarm 1e-6 per check.
+        master, k_seeds, n_samples = 2026, 10, 20_000
+        for index, (b, n) in enumerate([(10, 20), (64, 200), (65, 200)]):
+            hits = sum(
+                round(n_samples * coverage_empirical(
+                    b, n, n_samples, derive_seed(derive_seed(master, index), k)
+                ))
+                for k in range(k_seeds)
+            )
+            p = float(coverage_probability(b, n).fraction)
+            lo, hi = binom.interval(1 - 1e-6, k_seeds * n_samples, p)
+            assert lo <= hits <= hi, (b, n, hits, lo, hi)
 
 
 def test_ac5_fifty_worker_rate_sweep(capsys, tmp_path):
@@ -249,7 +244,7 @@ def _ac6_cases():
                 PolicySpec(PolicyKind.EXPLICIT_VECTOR, vector=vec),
                 _vector_system(n, b),
                 expected_time_assignment(vec),
-                float(expected_time_structure_rational(_product_groups(vec), n)),
+                float(expected_time_structure_rational(product_groups(vec), n)),
             )
         )
     cyclics = [(4, 2), (6, 2), (6, 3), (8, 4), (9, 3), (10, 5), (12, 4), (12, 6)]

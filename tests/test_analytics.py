@@ -44,10 +44,12 @@ from batchlat.policies import (
     replicated_nonoverlap_layout,
     shared_pair_layout,
 )
+from reference import compositions, coverage_exact_n, product_groups, stirling2
 
 
 # ---------------------------------------------------------------------------
-# In-test oracles. Deliberately naive; no code shared with the library.
+# In-test oracles. Deliberately naive; no code shared with the library. The
+# ones other test modules use too live in reference.py.
 
 def _count_partitions_brute(n: int, k: int) -> int:
     """Set partitions of an n-set into k blocks, by enumerating all k^n label
@@ -60,23 +62,6 @@ def _count_partitions_brute(n: int, k: int) -> int:
     value, rem = divmod(surjective, math.factorial(k))
     assert rem == 0
     return value
-
-
-def _stirling2(n: int, k: int) -> int:
-    """S(n, k) by the recurrence S(n, k) = k*S(n-1, k) + S(n-1, k-1) with
-    S(0, 0) = 1, on one rolling row of the triangle; 0 when k > n."""
-    row = [1] + [0] * k
-    for _ in range(n):
-        for j in range(k, 0, -1):
-            row[j] = j * row[j] + row[j - 1]
-        row[0] = 0
-    return row[k]
-
-
-def _coverage_exact_n(b: int, n: int) -> Fraction:
-    """P(the n-th of n uniform draws over b batches completes coverage),
-    b! * S(n-1, b-1) / b^n for b, n >= 1."""
-    return Fraction(math.factorial(b) * _stirling2(n - 1, b - 1), b**n)
 
 
 def _expected_time_subsets(counts) -> Fraction:
@@ -138,23 +123,6 @@ def _proportional_vectors(total: int, parts: int):
         counts = [max(1, int(total * w / sum(weights))) for w in weights]
         counts[-1] += total - sum(counts)
         yield tuple(counts)
-
-
-def _compositions(total: int, parts: int):
-    """All orderings of `total` into `parts` positive integers."""
-    for cuts in itertools.combinations(range(1, total), parts - 1):
-        bounds = (0,) + cuts + (total,)
-        yield tuple(bounds[i + 1] - bounds[i] for i in range(parts))
-
-
-def _product_groups(counts) -> list[frozenset]:
-    """Recovery groups equivalent to a non-overlapping vector: one replica
-    per batch, all combinations. Workers numbered batch by batch."""
-    offsets = [0]
-    for c in counts[:-1]:
-        offsets.append(offsets[-1] + c)
-    choices = [range(offsets[i], offsets[i] + counts[i]) for i in range(len(counts))]
-    return [frozenset(pick) for pick in itertools.product(*choices)]
 
 
 def _full_mask_counts(groups, n: int) -> tuple[int, ...]:
@@ -317,24 +285,24 @@ class TestSumFractions:
 
 class TestStirling:
     def test_examples(self):
-        assert _stirling2(4, 2) == 7
-        assert _stirling2(6, 3) == 90
-        assert _stirling2(0, 0) == 1
-        assert _stirling2(5, 0) == 0
-        assert _stirling2(3, 5) == 0
-        assert _stirling2(7, 7) == 1
-        assert _stirling2(7, 1) == 1
+        assert stirling2(4, 2) == 7
+        assert stirling2(6, 3) == 90
+        assert stirling2(0, 0) == 1
+        assert stirling2(5, 0) == 0
+        assert stirling2(3, 5) == 0
+        assert stirling2(7, 7) == 1
+        assert stirling2(7, 1) == 1
 
     def test_against_brute_enumeration(self):
         for n in range(0, 7):
             for k in range(0, n + 2):
-                assert _stirling2(n, k) == _count_partitions_brute(n, k), (n, k)
+                assert stirling2(n, k) == _count_partitions_brute(n, k), (n, k)
 
     def test_two_routes_agree(self):
         for n in range(0, 13):
             for k in range(0, n + 1):
                 surjections = analytics._surjections(n, k)
-                assert math.factorial(k) * _stirling2(n, k) == surjections, (n, k)
+                assert math.factorial(k) * stirling2(n, k) == surjections, (n, k)
 
 
 class TestSurjections:
@@ -407,13 +375,13 @@ class TestCoverage:
                     for f in itertools.product(range(b), repeat=n)
                     if len(set(f)) == b and len(set(f[:-1])) == b - 1
                 )
-                assert _coverage_exact_n(b, n) == Fraction(hits, b**n), (b, n)
+                assert coverage_exact_n(b, n) == Fraction(hits, b**n), (b, n)
 
     def test_telescoping(self):
         for b in range(1, 7):
             for n in range(b, 15):
                 partial = sum(
-                    (_coverage_exact_n(b, m) for m in range(1, n + 1)),
+                    (coverage_exact_n(b, m) for m in range(1, n + 1)),
                     Fraction(0),
                 )
                 assert partial == coverage_probability(b, n).fraction, (b, n)
@@ -828,7 +796,7 @@ class TestVectorStructureEquivalence:
 
     @pytest.mark.parametrize("counts", [(2, 2), (2, 2, 2), (3, 2, 1), (1, 1, 1, 1), (4, 2)])
     def test_exact_agreement(self, counts):
-        groups = _product_groups(counts)
+        groups = product_groups(counts)
         assert expected_time_assignment_rational(counts) == expected_time_structure_rational(
             groups, sum(counts)
         )
@@ -867,7 +835,7 @@ class TestMajorizationDominance:
 
     @pytest.mark.parametrize("n,b", [(6, 3), (8, 4), (10, 5), (9, 3), (10, 2)])
     def test_exhaustive_small_systems(self, n, b):
-        comps = list(_compositions(n, b))
+        comps = list(compositions(n, b))
         values = {c: expected_time_assignment_rational(c) for c in comps}
         balanced = (n // b,) * b
         for v in comps:

@@ -403,6 +403,10 @@ class TestCoverageCommand:
         assert capsys.readouterr().out == first
         row = first.strip().splitlines()[1].split()
         assert abs(float(row[2]) - float(row[3])) < 0.02
+        assert first == (
+            "   B    N          exact      empirical\n"
+            "   3    6    0.740740741          0.742\n"
+        )
 
     def test_guard_error(self, capsys):
         assert main(["coverage", "-B", "11", "-N", "909091"]) == EXIT_GUARD
@@ -437,6 +441,19 @@ class TestAnalyzeCommand:
         assert _field(stdout, "majorizes_balanced") == "yes"
         assert float(_field(stdout, "ratio_to_bound")) == pytest.approx(
             (73 / 60) / (11 / 12), rel=1e-6
+        )
+        assert stdout == (
+            "policy:                explicit-vector\n"
+            "vector:                (3, 2, 1)\n"
+            "n_workers:             6\n"
+            "n_batches:             3\n"
+            "rate:                  1\n"
+            "expected_time:         1.21666667\n"
+            "balanced_bound:        0.916666667\n"
+            "ratio_to_bound:        1.32727273\n"
+            "is_balanced:           no\n"
+            "majorizes_balanced:    yes\n"
+            "majorized_by_balanced: no\n"
         )
 
     def test_cyclic(self, capsys):
@@ -491,9 +508,9 @@ class TestComparePolicies:
         assert main(["compare-fig4", "--samples", "20000", "--seed", "0"]) == EXIT_OK
         stdout = capsys.readouterr().out
         lines = stdout.strip().splitlines()
-        assert lines[0].split() == [
-            "policy", "exact", "mc_mean", "ci95_low", "ci95_high", "within_ci",
-        ]
+        assert lines[0] == (
+            "policy                  exact      mc_mean     ci95_low    ci95_high within_ci"
+        )
         table = {l.split()[0]: l.split() for l in lines[1:]}
         assert set(table) == {"cyclic", "grouped-overlap", "replicated"}
         assert float(table["replicated"][1]) == pytest.approx(11 / 12, rel=1e-8)

@@ -147,6 +147,16 @@ class TestReplicatedLayout:
             replicated_nonoverlap_layout(50, 25)
         assert 2**25 > MAX_REPLICATED_GROUPS
 
+    @pytest.mark.parametrize("n,b", [(24, 6), (48, 3)])
+    def test_group_count_guard_admits_exactly_the_limit(self, n, b):
+        # 4^6 = 16^3 = 4096 groups
+        _, structure = replicated_nonoverlap_layout(n, b)
+        assert len(structure.groups) == MAX_REPLICATED_GROUPS == 4096
+
+    def test_group_count_guard_refuses_past_the_limit(self):
+        with pytest.raises(ComplexityGuardError, match=r"would need 17\^3 recovery groups"):
+            replicated_nonoverlap_layout(51, 3)
+
     def test_group_count_guard_builds_nothing(self, traced_peak):
         # building the 2000 batches of 1000 workers first took 116 MiB traced
         def refuse():

@@ -29,6 +29,7 @@ from batchlat.analytics import (
 )
 from batchlat.cli import SweepSpec
 from batchlat.model import _shown
+from reference import product_groups
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None)
 
@@ -71,14 +72,6 @@ def test_subset_count_routes_agree(structure):
     assert incomplete_subset_counts(groups, n) == brute
 
 
-def _replicated_groups(counts):
-    """One group per pick of one replica of each batch, batch i's replicas
-    being the next counts[i] workers."""
-    ends = list(itertools.accumulate(counts))
-    runs = [range(end - c, end) for c, end in zip(counts, ends)]
-    return [frozenset(pick) for pick in itertools.product(*runs)]
-
-
 @st.composite
 def _compositions(draw):
     """Positive replica counts summing to N <= 10, cut at a drawn set of points."""
@@ -92,7 +85,7 @@ def _compositions(draw):
 def test_assignment_route_equals_structure_route(composition):
     n, counts = composition
     assert expected_time_assignment_rational(counts) == expected_time_structure_rational(
-        _replicated_groups(counts), n
+        product_groups(counts), n
     )
 
 

@@ -612,6 +612,25 @@ class TestCoverageEmpirical:
         with pytest.raises(Sampled):
             coverage_empirical(3, 6, 2**53, 0)
 
+    def test_top_draw_times_any_guarded_batch_count_is_below_it(self):
+        # random() never exceeds 1 - 2^-53, and the worker guard keeps B <= N <= 2^20
+        top = np.nextafter(1.0, 0.0)
+        b = np.arange(1, 2**20 + 1)
+        ids = np.multiply(top, b, out=np.empty(b.shape, np.int64), casting="unsafe")
+        assert np.array_equal(ids, b - 1)
+        small = np.multiply(top, b[:64], out=np.empty(64, np.uint8), casting="unsafe")
+        assert np.array_equal(small, b[:64] - 1)
+
+    @pytest.mark.parametrize("n_batches", [1, 2, 63, 64, 65, 2**20])
+    def test_top_draw_picks_the_last_batch(self, n_batches):
+        top = np.nextafter(1.0, 0.0)
+        assert sim._batch_slots(np.array([[top]]), n_batches).tolist() == [[n_batches - 1]]
+        if n_batches <= 64:
+            # one draw in each of batches 0..B-2, then the top draw: covered
+            # exactly when the top draw lands in batch B - 1
+            row = [(k + 0.5) / n_batches for k in range(n_batches - 1)] + [top]
+            assert sim._covering_words(np.array([row]), n_batches) == 1
+
     @staticmethod
     def _sorted_hits(u, n_batches):
         """Reference: sort each row's batch ids and count the distinct ones."""
