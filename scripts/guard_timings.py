@@ -53,10 +53,14 @@ def shapes():
     n = 2**20
     cfg = SimConfig(1, 0, 1.0, PolicySpec("cyclic"), SystemParams(n, n, 2))
     yield "monte_carlo cyclic N=2^20 B=2", partial(sim.monte_carlo, cfg)
-    # coverage_empirical's kernels: hit words with chunks of more trials than
-    # workers (N = 20, 200) and fewer (N = 20 000, 2^20), and the B > 64 table
-    for b, n, trials in ((10, 20, 10**6), (64, 200, 10**5), (65, 200, 10**5),
-                         (10, 20_000, 10**3), (3, 2**20, 2)):
+    # the two random-draw samplers on both sides of sim._SHORT_ROW: random-cc
+    # rows of B batch minima, and coverage_empirical's hit words (rows of N
+    # draws) and its B > 64 table (rows of B hits); every shape here covers
+    for n, b, trials in ((12, 3, 5 * 10**5), (400, 40, 10**5), (2**20, 2**16, 5)):
+        cfg = SimConfig(trials, 0, 1.0, PolicySpec("random-cc"), SystemParams(n, n, b))
+        yield f"monte_carlo random-cc N={n} B={b} n={trials}", partial(sim.monte_carlo, cfg)
+    for b, n, trials in ((10, 20, 10**6), (10, 32, 10**5), (64, 200, 10**5), (65, 200, 10**5),
+                         (10, 20_000, 10**3), (3, 2**20, 2), (2**16, 2**20, 5)):
         yield f"coverage_empirical B={b} N={n} n={trials}", partial(
             sim.coverage_empirical, b, n, trials, 0)
 
@@ -80,16 +84,16 @@ def measure(call):
 def main(filters):
     print(f"# python {platform.python_version()}, {platform.machine()}, "
           f"median of {CALLS} calls, tracemalloc peak of one")
-    print(f"{'shape':<40} {'median ms':>11} {'peak MiB':>9}")
+    print(f"{'shape':<44} {'median ms':>11} {'peak MiB':>9}")
     for label, call in shapes():
         if filters and not any(f in label for f in filters):
             continue
         try:
             median, peak = measure(call)
         except ComplexityGuardError:
-            print(f"{label:<40} {'refused':>11}", flush=True)
+            print(f"{label:<44} {'refused':>11}", flush=True)
             continue
-        print(f"{label:<40} {median * 1e3:11.3f} {peak / 2**20:9.2f}", flush=True)
+        print(f"{label:<44} {median * 1e3:11.3f} {peak / 2**20:9.2f}", flush=True)
 
 
 if __name__ == "__main__":

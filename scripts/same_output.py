@@ -50,6 +50,8 @@ COMMANDS = [
     "simulate --policy explicit-vector --vector 3,2,1 --samples 20000 --rate 2",
     "simulate --policy random-cc -N 12 -B 3 --samples 20000",
     "simulate --policy random-cc -N 2 -B 5 --samples 200000",
+    # random-cc's batch minima reduced along rows, from B = 32 batches on
+    "simulate --policy random-cc -N 400 -B 40 --samples 20000",
     "simulate --policy cyclic -N 12 -B 4 --samples 20000",
     "simulate --policy grouped-overlap --samples 20000",
     "simulate --policy explicit-structure -N 6 -B 3 --groups '0,2,4;1,3,5' --samples 20000",
@@ -58,6 +60,8 @@ COMMANDS = [
     "coverage -B 1..4 -N 4,8 --mode both --samples 20000 --format json --out coverage.json",
     # the empirical kernel's hit words of 8 to 64 bits, and its table past B = 64
     "coverage -B 10,33,64,65 -N 20,200 --mode empirical --samples 20000",
+    # the last hit-word row reduced over a transposed copy, and the first along rows
+    "coverage -B 10 -N 31,32 --mode empirical --samples 20000",
     # coverage's exact route over every B, N <= 12, then its bits and B*N guards
     "coverage -B 1..12 -N 1..12",
     "coverage -B 3 -N 3333333",

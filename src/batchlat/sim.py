@@ -20,15 +20,11 @@ There are two: ``_run_fold`` serves both deterministic rules (the max over
 batches of replica minima, and the min over recovery groups of group
 maxima, as a two-level fold over worker columns), and ``_run_random_cc``
 re-draws the assignment per trial. ``coverage_empirical`` maps a chunk to
-its count of covering trials instead. For B <= 64 batches it holds a
-trial's hit set as one unsigned word of B bits, the OR of 1 << floor(u * B)
-over the trial's draws, reduced over a worker-major copy when the chunk
-holds at least as many trials as workers and along each trial's row
-otherwise; past 64 batches it marks an (m, B) table through
-``_batch_slots``, as random-cc does. Both take floor(u * B) from the same
-float multiply, so both give the same count. No draw exceeds 1 - 2^-53, and
-for every B <= 2^53 that value times B rounds to below B, so floor(u * B) is
-always a batch id in [0, B).
+its count of covering trials instead. Both samplers reduce each trial's row
+through ``_reduce_rows``, the one place that picks the reduction axis. Both
+take a draw's batch as floor(u * B), from the same float multiply. No draw
+exceeds 1 - 2^-53, and for every B <= 2^53 that value times B rounds to
+below B, so floor(u * B) is always a batch id in [0, B).
 
 Service times come from the inverse CDF, ``-log1p(-u) / rate`` with u
 uniform on [0, 1), clamped to the smallest positive normal float so samples
@@ -98,6 +94,10 @@ _BLOCK = 1 << 13
 # Workers per trial, so that memory is bounded in N too: at N = 2^20 a cyclic B = 2
 # trial takes 2-4.5 s and 185 MiB traced; N = 2^64 could not be allocated at all.
 _MAX_WORKERS = 1 << 20
+# Row width from which _reduce_rows reduces along rows, not over a transposed
+# copy. Coverage kernel at B = 10 on a 2-vCPU Xeon, row/copy time: 1.34-1.42
+# at 20 columns, 1.03-1.16 at 28-31, 0.94-1.10 at 32, 0.70-0.90 at 50-100.
+_SHORT_ROW = 32
 
 
 def _require_sampled_workers(n_workers: int) -> None:
@@ -223,6 +223,16 @@ def _run_fold(
     return acc
 
 
+def _reduce_rows(table: np.ndarray, ufunc: np.ufunc) -> np.ndarray:
+    """``ufunc`` over each row of a 2-D table: over a contiguous transposed
+    copy, one elementwise call per column, when rows are shorter than
+    _SHORT_ROW, and along the rows otherwise. Every ufunc here is exact, so
+    the result does not depend on the axis."""
+    if table.shape[1] < _SHORT_ROW:
+        return ufunc.reduce(np.ascontiguousarray(table.T), axis=0)
+    return ufunc.reduce(table, axis=1)
+
+
 def _batch_slots(u: np.ndarray, n_batches: int) -> np.ndarray:
     """Flat (trial, batch) index into an (m, B) table of each uniform of u,
     where a uniform picks batch floor(u * B) of its row's trial. It serves
@@ -242,11 +252,7 @@ def _run_random_cc(u: np.ndarray, n_batches: int) -> np.ndarray:
     mins = np.full((u.shape[0], n_batches), np.inf)
     slots = _batch_slots(u[:, :n_workers], n_batches)
     np.minimum.at(mins.reshape(-1), slots.ravel(), u[:, n_workers:].ravel())
-    # fold the batch columns; max() along the short row axis is slower
-    best = mins[:, 0].copy()
-    for column in mins.T[1:]:
-        np.maximum(best, column, out=best)
-    return best
+    return _reduce_rows(mins, np.maximum)
 
 
 def monte_carlo(cfg: SimConfig) -> CompletionEstimate:
@@ -325,32 +331,20 @@ def monte_carlo(cfg: SimConfig) -> CompletionEstimate:
     )
 
 
-def _covering_words(u: np.ndarray, n_batches: int) -> int:
-    """How many trials (rows) of u hit all B <= 64 batches, each trial's hit
-    set held as one word of B bits: the OR of 1 << floor(u * B) over its
-    draws, in the narrowest unsigned type that holds 2^B - 1."""
-    m, n = u.shape
-    word = np.min_scalar_type((1 << n_batches) - 1)
-    # with at least as many trials as workers, one elementwise OR per worker
-    # row of a worker-major copy; with fewer, one OR along each trial's row
-    by_worker = m >= n
-    ids = np.empty((n, m) if by_worker else (m, n), np.uint8)
+def _covering(u: np.ndarray, n_batches: int) -> int:
+    """How many trials (rows) of u hit all B batches. For B <= 64 a trial's
+    hit set is one word of B bits, the OR of 1 << floor(u * B) over its
+    draws, in the narrowest unsigned type that holds 2^B - 1; past 64 bits
+    it is a row of an (m, B) table of hits, marked through _batch_slots."""
+    if n_batches > 64:
+        hit = np.zeros((len(u), n_batches), dtype=bool)
+        hit.reshape(-1)[_batch_slots(u, n_batches)] = True
+        return int(np.count_nonzero(_reduce_rows(hit, np.logical_and)))
+    full = (1 << n_batches) - 1
     # floor(u * B) from the same float multiply as _batch_slots, cast into uint8
-    np.multiply(u.T if by_worker else u, n_batches, out=ids, casting="unsafe")
-    words = np.bitwise_or.reduce(np.left_shift(word.type(1), ids), axis=0 if by_worker else 1)
-    return int(np.count_nonzero(words == (1 << n_batches) - 1))
-
-
-def _covering_table(u: np.ndarray, n_batches: int) -> int:
-    """How many trials (rows) of u hit all B batches, marked in an (m, B)
-    table of hits; for B past the 64 bits of a hit word."""
-    hit = np.zeros((len(u), n_batches), dtype=bool)
-    hit.reshape(-1)[_batch_slots(u, n_batches)] = True
-    # fold the batch columns; all() along the short row axis is slower
-    covered = hit[:, 0].copy()
-    for column in hit.T[1:]:
-        covered &= column
-    return int(covered.sum())
+    ids = np.multiply(u, n_batches, out=np.empty(u.shape, np.uint8), casting="unsafe")
+    words = np.left_shift(np.min_scalar_type(full).type(1), ids)
+    return int(np.count_nonzero(_reduce_rows(words, np.bitwise_or) == full))
 
 
 def coverage_empirical(n_batches: int, n_workers: int, n_samples: int, seed: int) -> float:
@@ -363,6 +357,5 @@ def coverage_empirical(n_batches: int, n_workers: int, n_samples: int, seed: int
     _require_sampled_workers(n_workers)
     if n_batches > n_workers:
         return 0.0  # N draws hit at most N batches
-    count = _covering_words if n_batches <= 64 else _covering_table
-    hits = sum(count(u, n_batches) for u in _chunks(seed, n_samples, n_workers))
+    hits = sum(_covering(u, n_batches) for u in _chunks(seed, n_samples, n_workers))
     return hits / n_samples

@@ -1,5 +1,6 @@
 """Every exported name resolves, so no deleted name is left in an ``__all__``,
-and every function the benchmark's tracer wraps by name still exists."""
+every function the benchmark's tracer wraps by name still exists, and every
+source file parses as the oldest Python that pyproject.toml declares."""
 
 import ast
 import importlib
@@ -9,7 +10,8 @@ import pytest
 
 MODULES = ["batchlat", "batchlat.analytics", "batchlat.policies", "batchlat.sim", "batchlat.cli"]
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -33,3 +35,13 @@ def test_traced_names_resolve():
         if not callable(getattr(importlib.import_module(f"batchlat.{home}"), attr, None))
     ]
     assert missing == []
+
+
+def test_sources_parse_as_python_3_10():
+    """Every .py file under src/, tests/ and scripts/ parses with Python 3.10's
+    grammar, as ``requires-python >= 3.10`` promises. This checks syntax only:
+    a standard-library name or argument added after 3.10 still passes."""
+    paths = sorted(p for d in ("src", "tests", "scripts") for p in (ROOT / d).rglob("*.py"))
+    assert paths
+    for path in paths:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

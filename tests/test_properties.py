@@ -139,7 +139,10 @@ def test_run_fold_equals_naive_reduction(fold, ufuncs):
 
 
 @settings(SETTINGS, max_examples=100)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 12), st.integers(1, 12))
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 48), st.integers(1, 48))
+@example(0, 20, 48, 31)  # the widest row of batch minima below _SHORT_ROW
+@example(1, 20, 48, 32)  # the narrowest one from it
+@example(2, 20, 48, 40)
 def test_run_random_cc_equals_naive_reduction(seed, m, n, b):
     u = _uniforms(seed, m, 2 * n)
     batch = np.minimum((u[:, :n] * b).astype(np.int64), b - 1)
@@ -149,6 +152,26 @@ def test_run_random_cc_equals_naive_reduction(seed, m, n, b):
     want = np.max(mins, axis=0)
     got = sim._run_random_cc(u, n_batches=b)
     assert got.tobytes() == want.tobytes()
+
+
+@settings(SETTINGS, max_examples=100)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 70),
+       st.sampled_from([np.maximum, np.logical_and, np.bitwise_or]))
+@example(0, 20, sim._SHORT_ROW - 1, np.bitwise_or)
+@example(0, 20, sim._SHORT_ROW, np.bitwise_or)
+def test_reduce_rows_equals_row_reduction(seed, m, width, ufunc):
+    rng = np.random.default_rng(seed)
+    if ufunc is np.maximum:
+        table = _uniforms(seed, m, width)
+    elif ufunc is np.logical_and:
+        # each row is all True with probability about e^-1/2
+        table = rng.random((m, width)) < 1 - 1 / (2 * width)
+    else:
+        # hit words: one of 16 bits per entry, so that some rows OR to 2^16 - 1
+        table = np.left_shift(np.uint16(1), rng.integers(0, 16, (m, width), dtype=np.uint16))
+    want = ufunc.reduce(table, axis=1)
+    got = sim._reduce_rows(table, ufunc)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 # Values that a caller could pass by mistake in place of a size, a rate, a

@@ -625,11 +625,12 @@ class TestCoverageEmpirical:
     def test_top_draw_picks_the_last_batch(self, n_batches):
         top = np.nextafter(1.0, 0.0)
         assert sim._batch_slots(np.array([[top]]), n_batches).tolist() == [[n_batches - 1]]
-        if n_batches <= 64:
-            # one draw in each of batches 0..B-2, then the top draw: covered
-            # exactly when the top draw lands in batch B - 1
-            row = [(k + 0.5) / n_batches for k in range(n_batches - 1)] + [top]
-            assert sim._covering_words(np.array([row]), n_batches) == 1
+        # one draw in each of batches 0..B-2, then the top draw: covered
+        # exactly when the top draw lands in batch B - 1, in a hit word for
+        # B <= 64 and in the table past it
+        row = np.append((np.arange(n_batches - 1) + 0.5) / n_batches, top)
+        assert sim._covering(row[None, :], n_batches) == 1
+        assert sim._covering(row[None, :-1], n_batches) == 0
 
     @staticmethod
     def _sorted_hits(u, n_batches):
@@ -651,10 +652,14 @@ class TestCoverageEmpirical:
     @pytest.mark.parametrize("trials_per_chunk", ["at least N", "below N"])
     @pytest.mark.parametrize("n_batches", [1, 2, 8, 9, 16, 17, 32, 33, 63, 64, 65])
     def test_hit_words_match_sort_and_diff_count(self, monkeypatch, n_batches, trials_per_chunk):
-        # Both reduction axes of the hit words, across the 8-, 16-, 32- and
-        # 64-bit word widths, and B = 65 past them on the table path. About
-        # B (ln B + 1) draws cover all B batches in roughly half the trials.
+        # Both sides of _reduce_rows, across the 8-, 16-, 32- and 64-bit word
+        # widths, and B = 65 past them on the table path. For B < _SHORT_ROW
+        # the rows are short (N < _SHORT_ROW) with chunks of at least N
+        # trials; every other case has long rows. About B (ln B + 1) draws
+        # cover all B batches in roughly half the trials.
         n_workers = max(2, math.ceil(n_batches * (math.log(n_batches) + 1)))
+        short = trials_per_chunk == "at least N" and n_batches < sim._SHORT_ROW
+        n_workers = min(n_workers, sim._SHORT_ROW - 1) if short else max(n_workers, sim._SHORT_ROW)
         width = 4 * ((n_workers + 3) // 4)
         per_chunk = 2 * n_workers if trials_per_chunk == "at least N" else n_workers // 2
         monkeypatch.setattr(sim, "_CHUNK_BYTES", 8 * width * per_chunk)
@@ -665,8 +670,17 @@ class TestCoverageEmpirical:
             sizes.add(len(u))
             want += self._sorted_hits(u, n_batches)
         assert (max(sizes) >= n_workers) == (trials_per_chunk == "at least N")
-        assert 0 < want < n or n_batches == 1
+        # one batch is always hit, and 32 draws miss one of two only at odds 2^-31
+        assert 0 < want < n or n_batches <= 2
+        widths, reduce_rows = [], sim._reduce_rows
+
+        def spy(table, ufunc):
+            widths.append(table.shape[1])
+            return reduce_rows(table, ufunc)
+
+        monkeypatch.setattr(sim, "_reduce_rows", spy)
         assert coverage_empirical(n_batches, n_workers, n, seed) == want / n
+        assert {w < sim._SHORT_ROW for w in widths} == {short}
 
 
 class TestBoundedMemory:
