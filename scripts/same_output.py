@@ -30,6 +30,13 @@ ROOT = Path(__file__).resolve().parent.parent
 DEFAULT = "--config configs/sweep_default.json"
 
 COMMANDS = [
+    # the parser's text: the top-level help and each subcommand's
+    "--help",
+    "analyze --help",
+    "simulate --help",
+    "compare-fig4 --help",
+    "coverage --help",
+    "sweep --help",
     # analyze: every kind, and the shapes that a kind refuses
     "analyze --policy balanced -N 6 -B 3",
     "analyze --policy explicit-vector --vector 3,2,1",

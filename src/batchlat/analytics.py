@@ -122,14 +122,10 @@ class ExactProbability(Fraction):
     def fraction(self) -> Fraction:
         return Fraction(self)
 
-    @property
-    def float_value(self) -> float:
-        return float(self)
-
     def __repr__(self) -> str:
         return (
             f"ExactProbability(numerator={_shown(self.numerator)}, "
-            f"denominator={_shown(self.denominator)}, float_value={self.float_value!r})"
+            f"denominator={_shown(self.denominator)}, float_value={float(self)!r})"
         )
 
 

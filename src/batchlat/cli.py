@@ -371,7 +371,7 @@ def cmd_coverage(args: argparse.Namespace) -> int:
     for index, (n, b) in enumerate(grid):
         row = {"B": b, "N": n, "exact": None, "empirical": None}
         if want_exact:
-            row["exact"] = analytics.coverage_probability(b, n).float_value
+            row["exact"] = float(analytics.coverage_probability(b, n))
         if want_empirical:
             seed = derive_seed(args.seed, index)
             row["empirical"] = coverage_empirical(b, n, args.samples, seed)

@@ -14,17 +14,14 @@ n_samples) is bit-for-bit reproducible. The chunking lives in one generator,
 in order into one reused buffer of about ``_CHUNK_BYTES``, small enough to
 stay in a core's L2 cache while the kernel reads it; since every trial takes
 whole counter blocks, the sequential generator sits at trial t's offset
-whenever trial t comes up. A kernel maps one chunk's uniforms to one uniform
-per trial.
-There are two: ``_run_fold`` serves both deterministic rules (the max over
-batches of replica minima, and the min over recovery groups of group
-maxima, as a two-level fold over worker columns), and ``_run_random_cc``
-re-draws the assignment per trial. ``coverage_empirical`` maps a chunk to
-its count of covering trials instead. Both samplers reduce each trial's row
-through ``_reduce_rows``, the one place that picks the reduction axis. Both
-take a draw's batch as floor(u * B), from the same float multiply. No draw
-exceeds 1 - 2^-53, and for every B <= 2^53 that value times B rounds to
-below B, so floor(u * B) is always a batch id in [0, B).
+whenever trial t comes up. ``_sampler`` is the one place a resolved plan
+becomes its draws per trial and its kernel, which maps one chunk's uniforms
+to one uniform per trial. ``coverage_empirical`` maps a chunk to its count
+of covering trials instead. It and random-cc's kernel reduce each trial's
+row through ``_reduce_rows``, the one place that picks the reduction axis,
+and take a draw's batch as floor(u * B), from the same float multiply.
+No draw exceeds 1 - 2^-53, and for every B <= 2^53 that value times B
+rounds to below B, so floor(u * B) is always a batch id in [0, B).
 
 Service times come from the inverse CDF, ``-log1p(-u) / rate`` with u
 uniform on [0, 1), clamped to the smallest positive normal float so samples
@@ -56,7 +53,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
@@ -255,6 +252,32 @@ def _run_random_cc(u: np.ndarray, n_batches: int) -> np.ndarray:
     return _reduce_rows(mins, np.maximum)
 
 
+def _sampler(
+    plan: Plan, system: SystemParams
+) -> tuple[int, Callable[[np.ndarray], np.ndarray] | None]:
+    """Uniforms per trial of ``plan`` on ``system`` and the kernel that maps a
+    chunk of them to one uniform per trial, or None in place of the kernel
+    when no trial can complete. The one place a plan becomes a kernel."""
+    n_workers, n_batches = system.n_workers, system.n_batches
+    _require_sampled_workers(n_workers)  # before any group or uniform exists
+    if plan.counts is not None:
+        ends = itertools.accumulate(plan.counts)
+        runs = [range(end - c, end) for c, end in zip(plan.counts, ends)]
+        # max over batches of the replica minimum; uniforms are >= 0
+        return n_workers, functools.partial(
+            _run_fold, columns=runs, inner=np.minimum, outer=np.maximum, start=0.0
+        )
+    if plan.groups is not None:
+        # min over recovery groups of the group maximum
+        return n_workers, functools.partial(
+            _run_fold, columns=[sorted(g) for g in plan.groups()],
+            inner=np.maximum, outer=np.minimum, start=np.inf,
+        )
+    # random-cc: N batch draws, then N service draws; N draws miss a batch if B > N
+    kernel = functools.partial(_run_random_cc, n_batches=n_batches)
+    return 2 * n_workers, kernel if n_batches <= n_workers else None
+
+
 def monte_carlo(cfg: SimConfig) -> CompletionEstimate:
     """Estimate expected completion time over ``cfg.n_samples`` seeded trials.
 
@@ -271,29 +294,10 @@ def monte_carlo(cfg: SimConfig) -> CompletionEstimate:
     """
     if not isinstance(cfg, SimConfig):
         raise DomainError(f"expected a SimConfig, got {_shown(cfg)}")
-    plan, n, rate = cfg.plan, cfg.n_samples, cfg.rate
-    draws, covers = cfg.system.n_workers, True
-    _require_sampled_workers(draws)  # before any group or uniform exists
-    if plan.counts is not None:
-        ends = itertools.accumulate(plan.counts)
-        runs = [range(end - c, end) for c, end in zip(plan.counts, ends)]
-        # max over batches of the replica minimum; uniforms are >= 0
-        kernel = functools.partial(
-            _run_fold, columns=runs, inner=np.minimum, outer=np.maximum, start=0.0
-        )
-    elif plan.groups is not None:
-        # min over recovery groups of the group maximum
-        kernel = functools.partial(
-            _run_fold, columns=[sorted(g) for g in plan.groups()],
-            inner=np.maximum, outer=np.minimum, start=np.inf,
-        )
-    else:
-        draws *= 2  # N batch draws, then N service draws
-        kernel = functools.partial(_run_random_cc, n_batches=cfg.system.n_batches)
-        # N draws hit at most N batches, so with B > N no trial covers
-        covers = cfg.system.n_batches <= cfg.system.n_workers
+    n, rate = cfg.n_samples, cfg.rate
+    draws, kernel = _sampler(cfg.plan, cfg.system)
     n_covered, mean, m2 = 0, 0.0, 0.0
-    per_trial = map(kernel, _chunks(cfg.seed, n, draws) if covers else ())
+    per_trial = map(kernel, _chunks(cfg.seed, n, draws)) if kernel is not None else ()
     for block in _blocks(per_trial, min(_BLOCK, n)):
         finite = np.isfinite(block)  # random-cc's uncovered trials stay inf
         k = int(np.count_nonzero(finite))

@@ -8,6 +8,8 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
+
 
 def stirling2(n: int, k: int) -> int:
     """S(n, k) by the recurrence S(n, k) = k*S(n-1, k) + S(n-1, k-1) with
@@ -41,3 +43,17 @@ def product_groups(counts) -> list[frozenset]:
         offsets.append(offsets[-1] + c)
     choices = [range(offsets[i], offsets[i] + counts[i]) for i in range(len(counts))]
     return [frozenset(pick) for pick in itertools.product(*choices)]
+
+
+def full_mask_counts(groups, n: int) -> tuple[int, ...]:
+    """a_k, the count of k-subsets of n workers that hold no whole group, by
+    testing every group against all 2^n subset masks, 2^20 at a time."""
+    gms = [np.uint32(sum(1 << w for w in g)) for g in groups]
+    counts = np.zeros(n + 1, dtype=np.int64)
+    for start in range(0, 1 << n, 1 << 20):
+        masks = np.arange(start, min(start + (1 << 20), 1 << n), dtype=np.uint32)
+        contains = np.zeros(masks.shape, dtype=bool)
+        for gm in gms:
+            contains |= (masks & gm) == gm
+        counts += np.bincount(np.bitwise_count(masks[~contains]), minlength=n + 1)
+    return tuple(int(c) for c in counts)

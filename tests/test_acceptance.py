@@ -161,7 +161,7 @@ def test_ac4_coverage_probability_all_routes(capsys):
                 )
                 assert partial == direct, (b, n)
         for index, (b, n) in enumerate([(2, 2), (3, 6), (5, 15)]):
-            p = coverage_probability(b, n).float_value
+            p = float(coverage_probability(b, n))
             empirical = coverage_empirical(b, n, 10**6, derive_seed(SEED_AC4, index))
             sigma = math.sqrt(p * (1 - p) / 10**6)
             assert abs(empirical - p) <= 3 * sigma, (b, n)

@@ -12,7 +12,6 @@ import sys
 import time
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from scipy import integrate
 
@@ -44,7 +43,13 @@ from batchlat.policies import (
     replicated_nonoverlap_layout,
     shared_pair_layout,
 )
-from reference import compositions, coverage_exact_n, product_groups, stirling2
+from reference import (
+    compositions,
+    coverage_exact_n,
+    full_mask_counts,
+    product_groups,
+    stirling2,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -123,19 +128,6 @@ def _proportional_vectors(total: int, parts: int):
         counts = [max(1, int(total * w / sum(weights))) for w in weights]
         counts[-1] += total - sum(counts)
         yield tuple(counts)
-
-
-def _full_mask_counts(groups, n: int) -> tuple[int, ...]:
-    """a_k by testing every group against all 2^n subset masks, 2^20 at a time."""
-    gms = [np.uint32(sum(1 << w for w in g)) for g in groups]
-    counts = np.zeros(n + 1, dtype=np.int64)
-    for start in range(0, 1 << n, 1 << 20):
-        masks = np.arange(start, min(start + (1 << 20), 1 << n), dtype=np.uint32)
-        contains = np.zeros(masks.shape, dtype=bool)
-        for gm in gms:
-            contains |= (masks & gm) == gm
-        counts += np.bincount(np.bitwise_count(masks[~contains]), minlength=n + 1)
-    return tuple(int(c) for c in counts)
 
 
 def _poly_mul(p, q):
@@ -327,7 +319,7 @@ class TestExactProbability:
     def test_normalization(self):
         p = ExactProbability(540, 729)
         assert (p.numerator, p.denominator) == (20, 27)
-        assert p.float_value == 20 / 27
+        assert float(p) == 20 / 27
         assert p.fraction == Fraction(20, 27)
         assert p == ExactProbability(20, 27) and hash(p) == hash(ExactProbability(20, 27))
         assert repr(p) == f"ExactProbability(numerator=20, denominator=27, float_value={20 / 27!r})"
@@ -341,14 +333,12 @@ class TestExactProbability:
         finally:
             sys.set_int_max_str_digits(limit)
         assert hex(p.numerator) in text and hex(p.denominator) in text
-        assert text.endswith(f"float_value={p.float_value!r})")
+        assert text.endswith(f"float_value={float(p)!r})")
 
     def test_float_is_correctly_rounded(self):
-        # Fraction.__float__ is correctly rounded; float_value must match it.
+        # Fraction.__float__ is correctly rounded, and ExactProbability keeps it.
         for num, den in [(1, 3), (90 * 6, 3**6), (10**17 + 1, 3 * 10**17)]:
-            p = ExactProbability(num, den)
-            assert p.float_value == float(Fraction(num, den))
-            assert float(p) == p.float_value
+            assert float(ExactProbability(num, den)) == float(Fraction(num, den))
 
 
 class TestCoverage:
@@ -416,8 +406,8 @@ class TestCoverage:
         assert analytics._MAX_POWER_BITS == 2**18
         n = 2**18
         assert coverage_probability(2, n).fraction == 1 - Fraction(2, 2**n)
-        assert coverage_probability(16, 2**16).float_value == 1.0
-        assert coverage_probability(220, 2200).float_value > 0.99
+        assert float(coverage_probability(16, 2**16)) == 1.0
+        assert float(coverage_probability(220, 2200)) > 0.99
         for b, n in ((2, 2**18 + 1), (16, 2**16 + 1), (10, 10**6), (3, 3333333)):
             assert b * n <= MAX_BATCH_WORKER_PRODUCT
             with pytest.raises(ComplexityGuardError, match=r"N\*log2\(B\) <= 262144"):
@@ -665,7 +655,7 @@ class TestStructureOracle:
     @pytest.mark.parametrize("n,shape", _SPLIT_CASES)
     def test_matches_full_mask_enumeration(self, n, shape):
         groups = _SPLIT_SHAPES[shape](n)
-        assert incomplete_subset_counts(groups, n) == _full_mask_counts(groups, n)
+        assert incomplete_subset_counts(groups, n) == full_mask_counts(groups, n)
 
     def test_memory_bounded_on_relabelled_cyclic_n24(self, traced_peak):
         groups = _relabelled_cyclic(24, 4, seed=11)
@@ -760,7 +750,7 @@ class TestSubsetRoutes:
     @pytest.mark.parametrize("n,g", _ROUTE_CASES)
     def test_both_routes_match_full_mask_enumeration(self, n, g):
         masks = _random_masks(n, g, seed=100 * n + g)
-        expected = _full_mask_counts(_mask_groups(masks), n)
+        expected = full_mask_counts(_mask_groups(masks), n)
         assert analytics._subset_counts_by_union(masks, n) == expected
         assert analytics._subset_counts_by_closure(masks, n) == expected
 
@@ -778,7 +768,7 @@ class TestSubsetRoutes:
             monkeypatch.setattr(analytics, name, spy)
         # a repeated group is one distinct group
         a = incomplete_subset_counts([*groups, groups[-1]], n)
-        assert a == _full_mask_counts(groups, n)
+        assert a == full_mask_counts(groups, n)
         union = g < min(n, 16)
         assert called == ["_subset_counts_by_union" if union else "_subset_counts_by_closure"]
 

@@ -25,7 +25,7 @@ from batchlat.model import (
     _require_counts,
     _require_groups,
 )
-from batchlat.policies import PolicyKind, PolicySpec, balanced_assignment, resolve
+from batchlat.policies import PolicyKind, PolicySpec, balanced_assignment
 from batchlat.sim import coverage_empirical
 
 
@@ -60,38 +60,6 @@ class TestSystemParams:
         p = SystemParams(6, 6, 3, 1.0)
         with pytest.raises(dataclasses.FrozenInstanceError):
             p.n_workers = 7
-
-
-class TestValidateParams:
-    """System shape checks, which ``resolve`` makes for each policy kind."""
-
-    def test_overlapping_ok(self):
-        resolve(PolicySpec(PolicyKind.CYCLIC), SystemParams(6, 6, 3))
-
-    def test_overlapping_nondivisible(self):
-        with pytest.raises(DomainError, match=r"^n_batches=4 must divide n_blocks=6$"):
-            resolve(PolicySpec(PolicyKind.CYCLIC), SystemParams(6, 6, 4))
-
-    def test_any_kind_ok(self):
-        spec = PolicySpec(PolicyKind.EXPLICIT_STRUCTURE, groups=(frozenset(range(50)),))
-        resolve(spec, SystemParams(50, 50, 25))
-
-    def test_batch_size_must_divide(self):
-        with pytest.raises(DomainError, match=r"^n_batches=2 must divide n_blocks=9$"):
-            resolve(PolicySpec(PolicyKind.BALANCED), SystemParams(10, 9, 2))
-
-    def test_overlapping_requires_equal_blocks_and_workers(self):
-        with pytest.raises(DomainError):
-            resolve(PolicySpec(PolicyKind.CYCLIC), SystemParams(8, 4, 2))
-
-    def test_non_overlapping_allows_unequal_blocks_and_workers(self):
-        resolve(PolicySpec(PolicyKind.BALANCED), SystemParams(8, 4, 2))
-
-    def test_divisibility_checked_before_block_count(self):
-        with pytest.raises(DomainError, match=r"^n_batches=3 must divide n_blocks=4$"):
-            resolve(PolicySpec(PolicyKind.CYCLIC), SystemParams(6, 4, 3))
-        with pytest.raises(DomainError, match=r"requires n_blocks == n_workers, got S=4, N=8$"):
-            resolve(PolicySpec(PolicyKind.GROUPED_OVERLAP), SystemParams(8, 4, 2))
 
 
 def _spec_vector(vector):

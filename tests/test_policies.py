@@ -358,43 +358,64 @@ class TestSystem:
         assert plan.exact(1.0) == float(expected_time_cyclic_rational(4, 2)) == 11 / 12
 
 
-class TestValidatePolicy:
-    def test_balanced_ok(self):
-        validate_policy(PolicySpec(PolicyKind.BALANCED), SystemParams(6, 6, 3))
+def _case(name, kind, system, message=None, **payload):
+    return pytest.param(PolicySpec(kind, **payload), system, message, id=name)
 
-    def test_balanced_nondivisible(self):
-        # batches divide the blocks but not the workers
-        with pytest.raises(DomainError, match="^balanced assignment needs n_batches=3 dividing n_workers=10$"):
-            validate_policy(PolicySpec(PolicyKind.BALANCED), SystemParams(10, 9, 3))
-        # batches do not divide the blocks
-        with pytest.raises(DomainError, match="^n_batches=4 must divide n_blocks=10$"):
-            validate_policy(PolicySpec(PolicyKind.BALANCED), SystemParams(10, 10, 4))
 
-    def test_vector_shape_checked(self):
-        spec = PolicySpec(PolicyKind.EXPLICIT_VECTOR, vector=(3, 2, 1))
-        validate_policy(spec, SystemParams(6, 6, 3))
-        with pytest.raises(DomainError):
-            validate_policy(spec, SystemParams(6, 6, 2))
-        with pytest.raises(DomainError):
-            validate_policy(spec, SystemParams(7, 7, 7, 1.0))
+_OVERLAP_S_BELOW_N = "overlapping batching requires n_blocks == n_workers, got S=4, N=8"
 
-    def test_cyclic_requires_overlapping_shape(self):
-        validate_policy(PolicySpec(PolicyKind.CYCLIC), SystemParams(6, 6, 3))
-        with pytest.raises(DomainError):
-            validate_policy(PolicySpec(PolicyKind.CYCLIC), SystemParams(6, 12, 3))
-        with pytest.raises(DomainError, match="^n_batches=4 must divide n_blocks=10$"):
-            validate_policy(PolicySpec(PolicyKind.CYCLIC), SystemParams(10, 10, 4))
+# Every system shape check that resolve makes: (spec, system, the exact
+# DomainError message, or None where the policy fits the system).
+SHAPE_CASES = [
+    _case("balanced-ok", PolicyKind.BALANCED, SystemParams(6, 6, 3)),
+    # batches divide the blocks but not the workers, then not the blocks
+    _case("balanced-b-not-dividing-n", PolicyKind.BALANCED, SystemParams(10, 9, 3),
+          "balanced assignment needs n_batches=3 dividing n_workers=10"),
+    _case("balanced-b-not-dividing-s-10", PolicyKind.BALANCED, SystemParams(10, 10, 4),
+          "n_batches=4 must divide n_blocks=10"),
+    _case("balanced-b-not-dividing-s-9", PolicyKind.BALANCED, SystemParams(10, 9, 2),
+          "n_batches=2 must divide n_blocks=9"),
+    # only the overlapping kinds need S = N
+    _case("balanced-s-unlike-n-ok", PolicyKind.BALANCED, SystemParams(8, 4, 2)),
+    _case("vector-ok", PolicyKind.EXPLICIT_VECTOR, SystemParams(6, 6, 3), vector=(3, 2, 1)),
+    _case("vector-longer-than-b", PolicyKind.EXPLICIT_VECTOR, SystemParams(6, 6, 2),
+          "vector has 3 entries but the system has 2 batches", vector=(3, 2, 1)),
+    _case("vector-shorter-than-b", PolicyKind.EXPLICIT_VECTOR, SystemParams(7, 7, 7, 1.0),
+          "vector has 3 entries but the system has 7 batches", vector=(3, 2, 1)),
+    _case("cyclic-ok", PolicyKind.CYCLIC, SystemParams(6, 6, 3)),
+    _case("cyclic-b-not-dividing-s-6", PolicyKind.CYCLIC, SystemParams(6, 6, 4),
+          "n_batches=4 must divide n_blocks=6"),
+    _case("cyclic-b-not-dividing-s-10", PolicyKind.CYCLIC, SystemParams(10, 10, 4),
+          "n_batches=4 must divide n_blocks=10"),
+    _case("cyclic-s-above-n", PolicyKind.CYCLIC, SystemParams(6, 12, 3),
+          "overlapping batching requires n_blocks == n_workers, got S=12, N=6"),
+    _case("cyclic-s-below-n", PolicyKind.CYCLIC, SystemParams(8, 4, 2), _OVERLAP_S_BELOW_N),
+    # B | S is checked before S = N
+    _case("cyclic-b-checked-before-s", PolicyKind.CYCLIC, SystemParams(6, 4, 3),
+          "n_batches=3 must divide n_blocks=4"),
+    _case("grouped-overlap-s-below-n", PolicyKind.GROUPED_OVERLAP, SystemParams(8, 4, 2),
+          _OVERLAP_S_BELOW_N),
+    _case("grouped-overlap-ok", PolicyKind.GROUPED_OVERLAP, SystemParams(6, 6, 3)),
+    _case("grouped-overlap-other-shape", PolicyKind.GROUPED_OVERLAP, SystemParams(8, 8, 4),
+          "the grouped-overlap policy is a fixed six-worker, three-batch instance"),
+    # a structure's B need not divide S
+    _case("structure-b-not-dividing-s-ok", PolicyKind.EXPLICIT_STRUCTURE,
+          SystemParams(50, 50, 25), groups=(frozenset(range(50)),)),
+    _case("structure-ok", PolicyKind.EXPLICIT_STRUCTURE, SystemParams(6, 6, 3),
+          groups=({0, 5},)),
+    _case("structure-worker-out-of-range", PolicyKind.EXPLICIT_STRUCTURE,
+          SystemParams(5, 5, 5), "group [0, 5] references a worker >= 5", groups=({0, 5},)),
+]
 
-    def test_grouped_overlap_is_fixed_instance(self):
-        validate_policy(PolicySpec(PolicyKind.GROUPED_OVERLAP), SystemParams(6, 6, 3))
-        with pytest.raises(DomainError):
-            validate_policy(PolicySpec(PolicyKind.GROUPED_OVERLAP), SystemParams(8, 8, 4))
 
-    def test_structure_worker_range(self):
-        spec = PolicySpec(PolicyKind.EXPLICIT_STRUCTURE, groups=({0, 5},))
-        validate_policy(spec, SystemParams(6, 6, 3))
-        with pytest.raises(DomainError):
-            validate_policy(spec, SystemParams(5, 5, 5))
+@pytest.mark.parametrize("check", [resolve, validate_policy], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("spec, system, message", SHAPE_CASES)
+def test_shape_checks(check, spec, system, message):
+    if message is None:
+        check(spec, system)
+    else:
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            check(spec, system)
 
 
 # Each kind with the analytics closed form the CLI reported for it at

@@ -29,7 +29,7 @@ from batchlat.analytics import (
 )
 from batchlat.cli import SweepSpec
 from batchlat.model import _shown
-from reference import product_groups
+from reference import full_mask_counts, product_groups
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None)
 
@@ -50,23 +50,12 @@ def _structures(draw):
     return n, draw(st.lists(worker_sets, min_size=k, max_size=k, unique=True))
 
 
-def _brute_subset_counts(groups, n):
-    """a_k by testing every one of the 2^N subsets against every group."""
-    subsets = np.arange(1 << n)
-    complete = np.zeros(1 << n, dtype=bool)
-    for g in groups:
-        mask = sum(1 << w for w in g)
-        complete |= subsets & mask == mask
-    sizes = np.array([s.bit_count() for s in range(1 << n)])
-    return tuple(np.bincount(sizes[~complete], minlength=n + 1).tolist())
-
-
 @settings(SETTINGS, max_examples=80)
 @given(_structures())
 def test_subset_count_routes_agree(structure):
     n, groups = structure
     masks = {sum(1 << w for w in g) for g in groups}
-    brute = _brute_subset_counts(groups, n)
+    brute = full_mask_counts(groups, n)
     assert analytics._subset_counts_by_union(masks, n) == brute
     assert analytics._subset_counts_by_closure(masks, n) == brute
     assert incomplete_subset_counts(groups, n) == brute

@@ -5,7 +5,6 @@ module with wide (4 standard error) bands; the acceptance suite holds the
 strict 95% intervals.
 """
 
-import functools
 import itertools
 import math
 from collections import Counter
@@ -31,10 +30,12 @@ from batchlat.model import (
     SystemParams,
 )
 from batchlat.policies import (
+    Plan,
     PolicyKind,
     PolicySpec,
     cyclic_layout,
     replicated_nonoverlap_layout,
+    resolve,
 )
 from batchlat.sim import (
     SimConfig,
@@ -192,26 +193,28 @@ class TestMonteCarloDeterminism:
 
     def test_prefix_property(self):
         # the first trials of a longer run are the same trials
-        columns = [np.array(sorted(g)) for g in cyclic_layout(6, 3)[1].groups]
+        system = SystemParams(6, 6, 3)
+        draws, kernel = sim._sampler(resolve(PolicySpec(PolicyKind.CYCLIC), system), system)
 
         def run(n):
-            return np.concatenate(
-                [_min_of_max(u, columns) for u in sim._chunks(7, n, 6)]
-            )
+            return np.concatenate([kernel(u) for u in sim._chunks(7, n, draws)])
 
         assert np.array_equal(run(100), run(1000)[:100])
 
 
+def _kernel(plan, n_workers, n_batches):
+    """The kernel that monte_carlo runs for ``plan`` on N workers and B batches."""
+    return sim._sampler(plan, SystemParams(n_workers, n_workers, n_batches))[1]
+
+
 def _max_of_min(u, counts):
-    """The fold kernel on runs of consecutive columns, as monte_carlo calls it."""
-    ends = itertools.accumulate(counts)
-    runs = [range(end - c, end) for c, end in zip(counts, ends)]
-    return sim._run_fold(u, runs, np.minimum, np.maximum, 0.0)
+    """The counts fold on u: max over batches of each run's replica minimum."""
+    return _kernel(Plan(counts=counts), u.shape[1], len(counts))(u)
 
 
 def _min_of_max(u, columns):
-    """The fold kernel on recovery groups, as monte_carlo calls it."""
-    return sim._run_fold(u, columns, np.maximum, np.minimum, np.inf)
+    """The group fold on u: min over the groups ``columns`` of the group maximum."""
+    return _kernel(Plan(groups=lambda: columns), u.shape[1], 1)(u)
 
 
 # Transform-first reference kernels: every uniform becomes a service time
@@ -290,7 +293,7 @@ class TestReduceBeforeTransform:
         for seed in range(2):
             u = self._chunk(seed, 2000, 24)
             for rate in self.RATES:
-                got = _transformed(sim._run_random_cc(u, 3), rate)
+                got = _transformed(_kernel(Plan(), 12, 3)(u), rate)
                 want = _ref_random_cc(u, 3, rate)
                 assert np.isinf(want).any() and np.isfinite(want).any()
                 assert np.array_equal(got, want)
@@ -501,17 +504,9 @@ class TestEstimateEdges:
 
 def _one_pass_estimate(cfg):
     """(mean, std_error, coverage_rate) aggregated the one-pass way: every
-    trial's time materialized from ``sim._chunks`` and the kernel, then
-    ``np.mean`` and ``np.std(ddof=1)``."""
-    plan, system = cfg.plan, cfg.system
-    draws = system.n_workers
-    if plan.counts is not None:
-        kernel = functools.partial(_max_of_min, counts=plan.counts)
-    elif plan.groups is not None:
-        kernel = functools.partial(_min_of_max, columns=[sorted(g) for g in plan.groups()])
-    else:
-        draws *= 2
-        kernel = functools.partial(sim._run_random_cc, n_batches=system.n_batches)
+    trial's time materialized from ``sim._chunks`` and ``sim._sampler``'s
+    kernel, then ``np.mean`` and ``np.std(ddof=1)``."""
+    draws, kernel = sim._sampler(cfg.plan, cfg.system)
     results = np.concatenate(
         [kernel(u) for u in sim._chunks(cfg.seed, cfg.n_samples, draws)]
     )
